@@ -15,35 +15,28 @@ module Rand_plan = Fairmis.Rand_plan
 
 let algorithms =
   [ ("luby", Mis_exp.Runners.luby);
-    ( "luby-degree",
-      { Mis_exp.Runners.name = "Luby-A(degree)";
-        run =
-          (fun view ~seed -> Fairmis.Luby_degree.run view (Rand_plan.make seed)) } );
+    ("luby-degree", Mis_exp.Runners.luby_degree);
     ("fairtree", Mis_exp.Runners.fair_tree);
     ("fairbipart", Mis_exp.Runners.fair_bipart);
     ("colormis", Mis_exp.Runners.color_mis_greedy);
     ("colormis-planar", Mis_exp.Runners.color_mis_planar);
     ( "colormis-adaptive",
-      { Mis_exp.Runners.name = "ColorMIS(adaptive)";
-        run =
-          (fun view ~seed ->
-            let plan = Rand_plan.make seed in
-            let coloring =
-              Fairmis.Distributed_coloring.randomized_greedy view plan
-            in
-            fst
-              (Fairmis.Color_mis.run_adaptive view
-                 ~coloring:coloring.Fairmis.Distributed_coloring.colors plan)) } );
+      Mis_exp.Runners.of_run "ColorMIS(adaptive)" (fun view ~seed ->
+          let plan = Rand_plan.make seed in
+          let coloring =
+            Fairmis.Distributed_coloring.randomized_greedy view plan
+          in
+          fst
+            (Fairmis.Color_mis.run_adaptive view
+               ~coloring:coloring.Fairmis.Distributed_coloring.colors plan)) );
     ("greedy", Mis_exp.Runners.greedy_permutation);
     ( "fairrooted",
-      { Mis_exp.Runners.name = "FairRooted";
-        run =
-          (fun view ~seed ->
-            let g = View.graph view in
-            if not (Mis_graph.Traverse.is_tree view) then
-              failwith "fairrooted requires a tree topology";
-            let t = Mis_graph.Rooted.of_tree g ~root:0 in
-            Fairmis.Fair_rooted.run t (Rand_plan.make seed)) } ) ]
+      Mis_exp.Runners.of_run "FairRooted" (fun view ~seed ->
+          let g = View.graph view in
+          if not (Mis_graph.Traverse.is_tree view) then
+            failwith "fairrooted requires a tree topology";
+          let t = Mis_graph.Rooted.of_tree g ~root:0 in
+          Fairmis.Fair_rooted.run t (Rand_plan.make seed)) ) ]
 
 let runner_of_name name =
   match List.assoc_opt name algorithms with
@@ -233,7 +226,7 @@ let run_cmd =
       | Fairmis.Backend.Kernel ->
         let b = backed_runner backend alg in
         ( b.Mis_exp.Runners.b_display ^ " [kernel]",
-          b.Mis_exp.Runners.b_compile view ~seed )
+          b.Mis_exp.Runners.b_prepare view () ~seed )
     in
     Fairmis.Mis.verify ~name:alg view mis;
     let size = Array.fold_left (fun a b -> if b then a + 1 else a) 0 mis in

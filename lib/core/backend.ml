@@ -22,32 +22,40 @@ let of_kernel (o : Mis_sim.Kernel.outcome) =
   { output = o.Mis_sim.Kernel.output; decided = o.Mis_sim.Kernel.decided;
     rounds = o.Mis_sim.Kernel.rounds }
 
-(* Each exec compiles the view once, at closure-build time; the per-plan
-   call then reuses the engine or kernel scratch. Trial drivers build
-   the closure once per domain-chunk (Trials.fold_ctx / estimate_ctx)
-   so neither backend shares mutable state across domains. *)
+(* Two stages. [prepare_*] compiles the view's topology once (the
+   [Csr.compile] half, 0.06-1.2 ms on the Table I trees: as much as a
+   whole kernel run). Each application of the result to [()] builds the
+   per-domain half over that shared, read-only [Csr.t]: an engine's
+   queues and contexts, or a kernel's sweep scratch. Trial drivers
+   prepare once per estimate and instantiate once per domain-chunk
+   (Trials.fold_ctx / Montecarlo.estimate_ctx), so neither backend
+   shares mutable state across domains. *)
 
-let exec_luby backend view =
+let staged backend view ~message ~kernel =
+  let csr = Mis_sim.Csr.compile view in
   match backend with
   | Message ->
-    let e = Mis_sim.Runtime.Engine.create view in
-    fun plan -> of_engine (Luby.run_distributed_on e plan)
+    fun () ->
+      let e = Mis_sim.Runtime.Engine.of_csr csr in
+      fun plan -> of_engine (message e plan)
   | Kernel ->
-    let k = Mis_sim.Kernel.create view in
-    fun plan -> of_kernel (Luby.run_kernel_on k plan)
+    fun () ->
+      let k = Mis_sim.Kernel.of_csr csr in
+      fun plan -> of_kernel (kernel k plan)
 
-let exec_fair_tree ?gamma backend view =
-  match backend with
-  | Message ->
-    let e = Mis_sim.Runtime.Engine.create view in
-    fun plan -> of_engine (Fair_tree_distributed.run_on ?gamma e plan)
-  | Kernel ->
-    let k = Mis_sim.Kernel.create view in
-    fun plan -> of_kernel (Fair_tree_distributed.run_kernel_on ?gamma k plan)
+let prepare_luby backend view =
+  staged backend view
+    ~message:(fun e plan -> Luby.run_distributed_on e plan)
+    ~kernel:(fun k plan -> Luby.run_kernel_on k plan)
+
+let prepare_fair_tree ?gamma backend view =
+  staged backend view
+    ~message:(fun e plan -> Fair_tree_distributed.run_on ?gamma e plan)
+    ~kernel:(fun k plan -> Fair_tree_distributed.run_kernel_on ?gamma k plan)
 
 let exec_of_name ?gamma backend view = function
-  | "luby" -> Some (exec_luby backend view)
-  | "fairtree" -> Some (exec_fair_tree ?gamma backend view)
+  | "luby" -> Some (prepare_luby backend view ())
+  | "fairtree" -> Some (prepare_fair_tree ?gamma backend view ())
   | _ -> None
 
 let supported = [ "luby"; "fairtree" ]

@@ -23,18 +23,22 @@ type outcome = {
 val of_engine : Mis_sim.Runtime.outcome -> outcome
 val of_kernel : Mis_sim.Kernel.outcome -> outcome
 
-val exec_luby : t -> Mis_graph.View.t -> Rand_plan.t -> outcome
-(** [exec_luby b view] compiles [view] for backend [b] once; the
-    returned closure executes one seeded trial per call, reusing the
-    compiled state. Not thread-safe: build one closure per domain. *)
+val prepare_luby : t -> Mis_graph.View.t -> unit -> Rand_plan.t -> outcome
+(** [prepare_luby b view] compiles [view]'s topology once. Each
+    application of the result to [()] builds backend [b]'s per-domain
+    state (engine or kernel) over that shared compile, and the closure it
+    returns executes one seeded trial per call, reusing that state. The
+    prepared value is safe to share across domains; each instantiated
+    closure is not: build one per domain. *)
 
-val exec_fair_tree :
-  ?gamma:int -> t -> Mis_graph.View.t -> Rand_plan.t -> outcome
+val prepare_fair_tree :
+  ?gamma:int -> t -> Mis_graph.View.t -> unit -> Rand_plan.t -> outcome
 
 val exec_of_name :
   ?gamma:int -> t -> Mis_graph.View.t -> string -> (Rand_plan.t -> outcome) option
-(** Compiled exec by CLI key ([luby] / [fairtree]); [None] for
-    algorithms with no simulator program. *)
+(** Compiled and instantiated runner by CLI key ([luby] / [fairtree]),
+    for a single domain; [None] for algorithms with no simulator
+    program. *)
 
 val supported : string list
 (** The CLI keys accepted by {!exec_of_name}. *)

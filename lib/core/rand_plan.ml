@@ -1,8 +1,13 @@
 module Splitmix = Mis_util.Splitmix
 
-type t = { base : int64; seed_int : int }
+(* [h0] is [Splitmix.mix64 base], the first step every
+   [Splitmix.derive base keys] takes, computed once per plan. *)
+type t = { h0 : int64; seed_int : int }
 
-let make s = { base = Splitmix.derive (Int64.of_int s) [ 0x5EED ]; seed_int = s }
+let make s =
+  let base = Splitmix.derive (Int64.of_int s) [ 0x5EED ] in
+  { h0 = Splitmix.mix64 base; seed_int = s }
+
 let seed t = t.seed_int
 
 module Stage = struct
@@ -25,21 +30,46 @@ module Stage = struct
   let centralized = 60
 end
 
-let stream_of t keys = Splitmix.of_key (Splitmix.derive t.base keys)
+(* The keyed draws below compute exactly the bits of
+   [Splitmix.of_key (Splitmix.derive base keys)] and its first output,
+   but on unboxed [int64] locals. The hash is repeated here, not called
+   from [Splitmix]: without cross-module inlining (dune's dev profile
+   builds with -opaque) every boxed [int64] crossing a module boundary
+   allocates, and the key list, the [fold_left] closure and the stream
+   record cost ~50 minor words per draw. Inlined within this module, a
+   draw allocates nothing. The QCheck differential in
+   test/test_rand_plan.ml pins these against [Splitmix.derive]. *)
 
-let node_bit t ~stage ~node = Splitmix.bool (stream_of t [ stage; 1; node ])
+let[@inline] mix64 z =
+  let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+  Int64.(logxor z (shift_right_logical z 31))
+
+(* One [Splitmix.derive] fold step. *)
+let[@inline] step h k =
+  mix64
+    (Int64.logxor (Int64.mul h 0xFF51AFD7ED558CCDL) (Int64.of_int (k + 0x5851F42D)))
+
+(* The first [Splitmix.next_int64] of a stream whose state is [h]. *)
+let[@inline] first h = mix64 (Int64.add h 0x9E3779B97F4A7C15L)
+
+let[@inline] key3 t stage tag x = step (step (step t.h0 stage) tag) x
+
+let node_bit t ~stage ~node = Int64.logand (first (key3 t stage 1 node)) 1L = 1L
 
 let edge_bit t ~stage ~u ~v =
-  let a = min u v and b = max u v in
-  Splitmix.bool (stream_of t [ stage; 2; a; b ])
+  let a = if u <= v then u else v and b = if u <= v then v else u in
+  let h = step (key3 t stage 2 a) b in
+  Int64.logand (first h) 1L = 1L
 
 let node_value t ~stage ~round ~node =
-  Splitmix.bits62 (stream_of t [ stage; 3; round; node ])
+  let h = step (key3 t stage 3 round) node in
+  Int64.to_int (Int64.shift_right_logical (first h) 2)
 
 let node_int t ~stage ~node ~bound =
-  Splitmix.int (stream_of t [ stage; 4; node ]) bound
+  Splitmix.int (Splitmix.of_key (key3 t stage 4 node)) bound
 
 let node_radius t ~stage ~node ~p ~gamma =
-  Splitmix.geometric_truncated (stream_of t [ stage; 5; node ]) ~p ~gamma
+  Splitmix.geometric_truncated (Splitmix.of_key (key3 t stage 5 node)) ~p ~gamma
 
-let node_stream t ~stage ~node = stream_of t [ stage; 6; node ]
+let node_stream t ~stage ~node = Splitmix.of_key (key3 t stage 6 node)

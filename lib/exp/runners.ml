@@ -4,42 +4,60 @@ module Rand_plan = Fairmis.Rand_plan
 type t = {
   name : string;
   run : Mis_graph.View.t -> seed:int -> bool array;
+  prepare : Mis_graph.View.t -> unit -> seed:int -> bool array;
 }
 
+let of_run name run = { name; run; prepare = (fun view () -> run view) }
+
+(* A backend runner in the [prepare] shape: compile once per view,
+   instantiate once per domain-chunk, then one seeded trial per call. *)
+let staged prepare view =
+  let instantiate = prepare view in
+  fun () ->
+    let exec = instantiate () in
+    fun ~seed -> (exec (Rand_plan.make seed)).Fairmis.Backend.output
+
+let luby_on backend = staged (Fairmis.Backend.prepare_luby backend)
+let fair_tree_on backend =
+  staged (fun v -> Fairmis.Backend.prepare_fair_tree backend v)
+
+(* Single calls stay on the View-based fast engine, which needs no
+   compile; estimates take the kernel, which is bit-identical and
+   faster per trial once the compile is shared. *)
 let luby =
   { name = "Luby's";
-    run = (fun view ~seed -> Fairmis.Luby.run view (Rand_plan.make seed)) }
+    run = (fun view ~seed -> Fairmis.Luby.run view (Rand_plan.make seed));
+    prepare = luby_on Fairmis.Backend.Kernel }
 
 let fair_tree =
   { name = "FairTree";
-    run = (fun view ~seed -> Fairmis.Fair_tree.run view (Rand_plan.make seed)) }
+    run = (fun view ~seed -> Fairmis.Fair_tree.run view (Rand_plan.make seed));
+    prepare = fair_tree_on Fairmis.Backend.Kernel }
+
+let luby_degree =
+  of_run "Luby-A(degree)" (fun view ~seed ->
+      Fairmis.Luby_degree.run view (Rand_plan.make seed))
 
 let fair_bipart =
-  { name = "FairBipart";
-    run = (fun view ~seed -> Fairmis.Fair_bipart.run view (Rand_plan.make seed)) }
+  of_run "FairBipart" (fun view ~seed ->
+      Fairmis.Fair_bipart.run view (Rand_plan.make seed))
 
 let greedy_permutation =
-  { name = "RandPermGreedy";
-    run =
-      (fun view ~seed ->
-        Fairmis.Centralized.greedy_random_permutation view
-          (Mis_util.Splitmix.of_seed seed)) }
+  of_run "RandPermGreedy" (fun view ~seed ->
+      Fairmis.Centralized.greedy_random_permutation view
+        (Mis_util.Splitmix.of_seed seed))
 
 let color_mis_planar =
-  { name = "ColorMIS(planar)";
-    run =
-      (fun view ~seed ->
-        fst (Fairmis.Color_mis.run_planar view (Rand_plan.make seed))) }
+  of_run "ColorMIS(planar)" (fun view ~seed ->
+      fst (Fairmis.Color_mis.run_planar view (Rand_plan.make seed)))
 
 let color_mis_greedy =
-  { name = "ColorMIS(greedy)";
-    run =
-      (fun view ~seed ->
-        let plan = Rand_plan.make seed in
-        let coloring = Fairmis.Distributed_coloring.randomized_greedy view plan in
-        Fairmis.Color_mis.run view
-          ~coloring:coloring.Fairmis.Distributed_coloring.colors
-          ~k:coloring.Fairmis.Distributed_coloring.palette plan) }
+  of_run "ColorMIS(greedy)" (fun view ~seed ->
+      let plan = Rand_plan.make seed in
+      let coloring = Fairmis.Distributed_coloring.randomized_greedy view plan in
+      Fairmis.Color_mis.run view
+        ~coloring:coloring.Fairmis.Distributed_coloring.colors
+        ~k:coloring.Fairmis.Distributed_coloring.palette plan)
 
 type traced = {
   t_name : string;
@@ -85,50 +103,44 @@ let find_traced name =
   List.find_opt (fun t -> t.t_name = name) traced
 
 (* Profiling (FAIRMIS_PROF=1): one span per measured runner; validation
-   gets its own child span (recorded on the worker domain that runs it). *)
-let measure cfg view runner =
-  Mis_obs.Prof.gspan ("measure." ^ runner.name) (fun () ->
-      Mis_stats.Montecarlo.estimate
+   gets its own child span (recorded on the worker domain that runs it).
+   [prepare view] runs once, inside the span; its result once per
+   domain-chunk. *)
+let measure_prepared ~span ~name cfg view prepare =
+  Mis_obs.Prof.gspan span (fun () ->
+      Mis_stats.Montecarlo.estimate_ctx
         ~check:(fun mis ->
           Mis_obs.Prof.gspan "validate" (fun () ->
-              Fairmis.Mis.verify ~name:runner.name view mis))
-        (Config.montecarlo cfg) view
-        (fun ~seed -> runner.run view ~seed))
+              Fairmis.Mis.verify ~name view mis))
+        (Config.montecarlo cfg)
+        ~ctx:(prepare view) view
+        (fun run ~seed -> run ~seed))
+
+let measure cfg view runner =
+  measure_prepared ~span:("measure." ^ runner.name) ~name:runner.name cfg view
+    runner.prepare
 
 type backed = {
   b_key : string;
   b_display : string;
   b_backend : Fairmis.Backend.t;
-  b_compile : Mis_graph.View.t -> seed:int -> bool array;
+  b_prepare : Mis_graph.View.t -> unit -> seed:int -> bool array;
 }
 
 let backed backend key =
-  let compile exec view =
-    let run = exec backend view in
-    fun ~seed -> (run (Rand_plan.make seed)).Fairmis.Backend.output
+  let runner display prepare =
+    Some
+      { b_key = key; b_display = display; b_backend = backend;
+        b_prepare = prepare }
   in
   match key with
-  | "luby" ->
-    Some
-      { b_key = key; b_display = "Luby's"; b_backend = backend;
-        b_compile = compile Fairmis.Backend.exec_luby }
-  | "fairtree" ->
-    Some
-      { b_key = key; b_display = "FairTree"; b_backend = backend;
-        b_compile = compile (fun b v -> Fairmis.Backend.exec_fair_tree b v) }
+  | "luby" -> runner "Luby's" (luby_on backend)
+  | "fairtree" -> runner "FairTree" (fair_tree_on backend)
   | _ -> None
 
 let measure_backed cfg view b =
-  let tag =
+  let span =
     Printf.sprintf "measure.%s[%s]" b.b_display
       (Fairmis.Backend.to_string b.b_backend)
   in
-  Mis_obs.Prof.gspan tag (fun () ->
-      Mis_stats.Montecarlo.estimate_ctx
-        ~check:(fun mis ->
-          Mis_obs.Prof.gspan "validate" (fun () ->
-              Fairmis.Mis.verify ~name:b.b_display view mis))
-        (Config.montecarlo cfg)
-        ~ctx:(fun () -> b.b_compile view)
-        view
-        (fun run ~seed -> run ~seed))
+  measure_prepared ~span ~name:b.b_display cfg view b.b_prepare

@@ -4,10 +4,24 @@
 type t = {
   name : string;
   run : Mis_graph.View.t -> seed:int -> bool array;
+      (** One run on a view, with nothing compiled ahead. *)
+  prepare : Mis_graph.View.t -> unit -> seed:int -> bool array;
+      (** The staged form {!measure} uses: [prepare view] does the
+          per-view work once (for {!luby} and {!fair_tree}, the
+          topology compile); applying the result to [()] builds
+          per-domain state once per Monte Carlo chunk; the closure it
+          returns runs one trial per seed. Bit-identical to [run]. *)
 }
+
+val of_run : string -> (Mis_graph.View.t -> seed:int -> bool array) -> t
+(** A runner whose [prepare] just calls [run]. *)
 
 val luby : t
 val fair_tree : t
+(** [run] is the View-based fast engine; [prepare] compiles the view
+    once and runs {!Mis_sim.Kernel}, one kernel per chunk. *)
+
+val luby_degree : t
 val fair_bipart : t
 val greedy_permutation : t
 val color_mis_planar : t
@@ -41,21 +55,25 @@ val find_traced : string -> traced option
 
 val measure :
   Config.t -> Mis_graph.View.t -> t -> Mis_stats.Empirical.t
-(** Monte Carlo with per-run MIS validation. *)
+(** Monte Carlo with per-run MIS validation, through the runner's
+    [prepare] (one compile per estimate). *)
 
 (** {1 Backend-selected runners}
 
-    Compiled adapters over {!Fairmis.Backend}: the same algorithm run on
-    either the message engine or the data-parallel kernel, with the view
-    compiled once per domain-chunk instead of per trial. *)
+    Adapters over {!Fairmis.Backend}: the same algorithm run on either
+    the message engine or the data-parallel kernel, with the view
+    compiled once and the engine or kernel built once per domain-chunk
+    instead of per trial. *)
 
 type backed = {
   b_key : string;  (** CLI key: [luby] or [fairtree]. *)
   b_display : string;
   b_backend : Fairmis.Backend.t;
-  b_compile : Mis_graph.View.t -> seed:int -> bool array;
-      (** [b_compile view] compiles once; each [~seed] call is one
-          trial reusing the compiled state (single-domain use only). *)
+  b_prepare : Mis_graph.View.t -> unit -> seed:int -> bool array;
+      (** Staged like {!t.prepare}: [b_prepare view] compiles once and
+          may be shared across domains; [b_prepare view ()] is one
+          domain's runner, each [~seed] call one trial reusing its
+          state. *)
 }
 
 val backed : Fairmis.Backend.t -> string -> backed option
@@ -64,5 +82,6 @@ val backed : Fairmis.Backend.t -> string -> backed option
 
 val measure_backed :
   Config.t -> Mis_graph.View.t -> backed -> Mis_stats.Empirical.t
-(** {!measure} through a backend-selected runner, compiling the view
-    once per domain-chunk ({!Mis_stats.Montecarlo.estimate_ctx}). *)
+(** {!measure} through a backend-selected runner: the same code path,
+    compiling the view once and instantiating it once per domain-chunk
+    ({!Mis_stats.Montecarlo.estimate_ctx}). *)

@@ -53,6 +53,6 @@ let fairness ?chunk ?obs spec ~n trial =
     ~ctx:(fun () -> ())
     (fun () acc ~seed -> trial acc ~seed)
 
-let fairness_runner ?chunk ?obs spec ~n compile =
-  fairness_ctx ?chunk ?obs spec ~n ~ctx:compile (fun run acc ~seed ->
+let fairness_runner ?chunk ?obs spec ~n instantiate =
+  fairness_ctx ?chunk ?obs spec ~n ~ctx:instantiate (fun run acc ~seed ->
       Fairness.record acc ~in_mis:(run ~seed))

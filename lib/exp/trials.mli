@@ -72,10 +72,11 @@ val fairness_runner :
   n:int ->
   (unit -> seed:int -> bool array) ->
   Mis_obs.Fairness.t
-(** Join counts over a per-chunk compiled runner: [compile ()] runs once
-    per domain-chunk (e.g. a {!Runners.backed} closure over a view) and
-    each trial records the returned membership mask. The natural way to
-    drive a {!Fairmis.Backend} exec through a fairness measurement. *)
+(** Join counts over a per-chunk runner: [instantiate ()] runs once per
+    domain-chunk and each trial records the returned membership mask.
+    Pass a prepared runner, e.g. [b.b_prepare view] for a
+    {!Runners.backed} [b], so the view is compiled once for the whole
+    measurement and only the engine or kernel is built per chunk. *)
 
 val fairness :
   ?chunk:int ->

@@ -205,13 +205,16 @@ let env_flag name =
   | Some "1" | Some "true" -> true
   | Some _ | None -> false
 
-let spans_enabled_v = lazy (env_flag "FAIRMIS_PROF_SPANS")
-let spans_enabled () = Lazy.force spans_enabled_v
+(* Read once, at module initialisation, on the main domain: plain
+   immutable bools are safe to read from any domain. (Lazies were not:
+   two pool workers forcing one at once raise [CamlinternalLazy.Undefined].) *)
+let spans_enabled_v = env_flag "FAIRMIS_PROF_SPANS"
+let spans_enabled () = spans_enabled_v
 
 (* FAIRMIS_PROF_SPANS implies profiling: recording a timeline without
    opening spans would record nothing. *)
-let enabled_v = lazy (env_flag "FAIRMIS_PROF" || spans_enabled ())
-let enabled () = Lazy.force enabled_v
+let enabled_v = env_flag "FAIRMIS_PROF" || spans_enabled_v
+let enabled () = enabled_v
 
 (* Domain-local, so spans opened inside parallel map-reduce tasks never
    race. Every domain's profiler is also registered globally: worker

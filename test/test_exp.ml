@@ -228,6 +228,49 @@ let test_workloads_paper_numbers () =
   Alcotest.(check bool) "paper factor recorded" true
     (binary.Mis_exp.Workloads.paper_luby = Some 3.07)
 
+(* Runners.measure for Luby and FairTree compiles each tree once and runs
+   one kernel per domain-chunk. Its join counts must equal a plain
+   fast-engine estimate over [run], on Table I trees, at 1 and 4
+   domains: this pins the staged compile/instantiate wiring, which the
+   per-run kernel = engine properties do not see. *)
+let test_measure_matches_fast_engine () =
+  let cfg domains =
+    { Config.trials = 100; seed = 1; domains = Some domains;
+      nyc = Config.Nyc_skip; full = false }
+  in
+  let trees =
+    List.filter
+      (fun t ->
+        List.mem t.Mis_exp.Workloads.name
+          [ "binary-tree"; "alternating-B10"; "dartmouth-like" ])
+      (Mis_exp.Workloads.table1_trees (cfg 1))
+  in
+  Alcotest.(check int) "three trees" 3 (List.length trees);
+  let joins e =
+    Array.map
+      (fun f -> Float.round (f *. float_of_int (Mis_stats.Empirical.trials e)))
+      (Mis_stats.Empirical.frequencies e)
+  in
+  List.iter
+    (fun (t : Mis_exp.Workloads.tree) ->
+      let view = View.full (Lazy.force t.Mis_exp.Workloads.graph) in
+      List.iter
+        (fun (r : Runners.t) ->
+          let fast =
+            Mis_stats.Montecarlo.estimate (Config.montecarlo (cfg 1)) view
+              (fun ~seed -> r.Runners.run view ~seed)
+          in
+          List.iter
+            (fun domains ->
+              Alcotest.(check (array (float 0.)))
+                (Printf.sprintf "%s/%s at %d domains" t.Mis_exp.Workloads.name
+                   r.Runners.name domains)
+                (joins fast)
+                (joins (Runners.measure (cfg domains) view r)))
+            [ 1; 4 ])
+        [ Runners.luby; Runners.fair_tree ])
+    trees
+
 let suite =
   [ ( "exp.config",
       [ Alcotest.test_case "defaults" `Quick test_config_defaults;
@@ -241,7 +284,9 @@ let suite =
       [ Alcotest.test_case "faults rows domain-invariant" `Slow
           test_faults_rows_domain_invariant;
         Alcotest.test_case "estimate domain-invariant" `Quick
-          test_estimate_domain_invariant ] );
+          test_estimate_domain_invariant;
+        Alcotest.test_case "measure = fast-engine estimate (Table I trees)"
+          `Quick test_measure_matches_fast_engine ] );
     ( "exp.render",
       [ Alcotest.test_case "table" `Quick test_table_render;
         Alcotest.test_case "float cell" `Quick test_table_float_cell;

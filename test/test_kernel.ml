@@ -217,7 +217,7 @@ let test_trials_kernel_domain_invariant () =
       | None -> Alcotest.fail "luby runner missing"
     in
     Mis_obs.Fairness.joins
-      (Trials.fairness_runner spec ~n (fun () -> b.Mis_exp.Runners.b_compile view))
+      (Trials.fairness_runner spec ~n (b.Mis_exp.Runners.b_prepare view))
   in
   let reference = joins_of Fairmis.Backend.Message 1 in
   Alcotest.check Helpers.int_array "kernel(1) = message" reference

@@ -86,6 +86,56 @@ let test_node_stream_independent_of_bits () =
   ignore (Mis_util.Splitmix.bits62 s);
   Alcotest.(check bool) "unperturbed" before (Rand_plan.node_bit p ~stage:4 ~node:9)
 
+(* The allocation-free draws against the list-based derivation they
+   replaced, which stays in [Splitmix] as the reference: same bits for
+   every key, including negative and near-[max_int] ints and [u > v]. *)
+module Reference = struct
+  module Splitmix = Mis_util.Splitmix
+
+  let stream seed keys =
+    Splitmix.stream (Splitmix.derive (Int64.of_int seed) [ 0x5EED ]) keys
+
+  let node_bit seed ~stage ~node = Splitmix.bool (stream seed [ stage; 1; node ])
+
+  let edge_bit seed ~stage ~u ~v =
+    Splitmix.bool (stream seed [ stage; 2; min u v; max u v ])
+
+  let node_value seed ~stage ~round ~node =
+    Splitmix.bits62 (stream seed [ stage; 3; round; node ])
+
+  let node_int seed ~stage ~node ~bound =
+    Splitmix.int (stream seed [ stage; 4; node ]) bound
+
+  let node_radius seed ~stage ~node =
+    Splitmix.geometric_truncated (stream seed [ stage; 5; node ]) ~p:0.5 ~gamma:9
+
+  let node_stream seed ~stage ~node = stream seed [ stage; 6; node ]
+end
+
+let arb_key =
+  QCheck.oneof
+    [ QCheck.small_signed_int; QCheck.int;
+      QCheck.int_range (max_int - 1000) max_int;
+      QCheck.int_range min_int (min_int + 1000) ]
+
+let prop_same_bits_as_derive =
+  Helpers.qtest ~count:500 "rand_plan: keyed draws = Splitmix.derive reference"
+    QCheck.(pair (pair arb_key arb_key) (pair (pair arb_key arb_key) arb_key))
+    (fun ((seed, stage), ((u, v), round)) ->
+      let p = Rand_plan.make seed in
+      let stream_bits s = List.init 4 (fun _ -> Mis_util.Splitmix.bits62 s) in
+      Rand_plan.node_bit p ~stage ~node:u = Reference.node_bit seed ~stage ~node:u
+      && Rand_plan.edge_bit p ~stage ~u ~v = Reference.edge_bit seed ~stage ~u ~v
+      && Rand_plan.edge_bit p ~stage ~u:v ~v:u = Reference.edge_bit seed ~stage ~u ~v
+      && Rand_plan.node_value p ~stage ~round ~node:v
+         = Reference.node_value seed ~stage ~round ~node:v
+      && Rand_plan.node_int p ~stage ~node:u ~bound:1000
+         = Reference.node_int seed ~stage ~node:u ~bound:1000
+      && Rand_plan.node_radius p ~stage ~node:v ~p:0.5 ~gamma:9
+         = Reference.node_radius seed ~stage ~node:v
+      && stream_bits (Rand_plan.node_stream p ~stage ~node:u)
+         = stream_bits (Reference.node_stream seed ~stage ~node:u))
+
 let suite =
   [ ( "core.rand_plan",
       [ Alcotest.test_case "determinism" `Quick test_determinism;
@@ -97,4 +147,5 @@ let suite =
         Alcotest.test_case "node radius bounds" `Quick test_node_radius_bounds;
         Alcotest.test_case "bit balance" `Quick test_bit_balance;
         Alcotest.test_case "streams don't perturb lookups" `Quick
-          test_node_stream_independent_of_bits ] ) ]
+          test_node_stream_independent_of_bits;
+        prop_same_bits_as_derive ] ) ]

@@ -79,6 +79,42 @@ let test_live_words_ceiling () =
   (* keep everything rooted until after the measurement *)
   ignore (Sys.opaque_identity (g, eng, o))
 
+(* The kernel's steady state allocates O(1) minor words per run: the
+   outcome arrays are large enough to go straight to the major heap, the
+   sweep scratch is cached in the kernel, and coin draws allocate
+   nothing. Measured at 32 words per Luby run and 107 per FairTree run,
+   flat in n; 256 fails loudly on any per-node or per-draw allocation
+   (a boxed value per coin is already ~10^5 words at n = 10^4). Cheap
+   enough to run without FAIRMIS_XL. *)
+let test_kernel_minor_words_ceiling () =
+  let ceiling = 256. in
+  List.iter
+    (fun n ->
+      let kernel =
+        Mis_sim.Kernel.create
+          (View.full
+             (Mis_workload.Trees.random_attachment_xl (Splitmix.of_seed 31) ~n))
+      in
+      let check name run =
+        ignore (run 1);
+        List.iter
+          (fun seed ->
+            let w0 = Gc.minor_words () in
+            let o = run seed in
+            let words = Gc.minor_words () -. w0 in
+            ignore (Sys.opaque_identity o);
+            if words > ceiling then
+              Alcotest.failf "%s n=%d seed %d: %.0f minor words per run > %.0f"
+                name n seed words ceiling)
+          [ 2; 3; 4 ]
+      in
+      check "kernel luby" (fun seed ->
+          Fairmis.Luby.run_kernel_on kernel (Fairmis.Rand_plan.make seed));
+      check "kernel fairtree" (fun seed ->
+          Fairmis.Fair_tree_distributed.run_kernel_on kernel
+            (Fairmis.Rand_plan.make seed)))
+    [ 1_000; 10_000 ]
+
 let test_of_parents_scale () =
   require_xl ();
   (* The direct CSR constructor at scale: structural sanity without ever
@@ -134,4 +170,6 @@ let suite =
       [ Alcotest.test_case "kernel luby n=1e5: validity + equivalence" `Slow
           test_kernel_luby_xl;
         Alcotest.test_case "kernel fairtree n=1e5: validity" `Slow
-          test_kernel_fair_tree_xl ] ) ]
+          test_kernel_fair_tree_xl;
+        Alcotest.test_case "kernel minor words per run O(1) (n=1e3, 1e4)"
+          `Quick test_kernel_minor_words_ceiling ] ) ]
