@@ -391,6 +391,60 @@ let test_greedy_in_order () =
   let mis = Centralized.greedy_in_order (View.full g) ~order:[| 0; 1; 2; 3 |] in
   Alcotest.check Helpers.bool_array "greedy 0..3" [| true; false; true; false |] mis
 
+(* Golden fallback accounting: with gamma = 1 the blocks leave most of a
+   G(60, 0.15) graph uncovered, so the Luby fallback runs for two or three
+   phases. Pins fallback_nodes, rounds (= block rounds + 1 + 3 per
+   fallback phase) and the MIS itself. *)
+let fallback_graph gseed = View.full (Helpers.random_graph ~seed:gseed ~n:60 ~p:0.15)
+
+let members mis =
+  List.filter (fun u -> mis.(u)) (List.init (Array.length mis) Fun.id)
+
+let fallback_cases =
+  (* (graph seed, plan seed, fallback_nodes, rounds, MIS) *)
+  [ ( (3, 5),
+      (29, 9, [ 2; 5; 12; 17; 19; 26; 31; 32; 47; 53; 56; 57; 59 ]),
+      (60, 9, [ 2; 8; 10; 21; 22; 25; 32; 34; 39; 42; 48; 49; 50; 51; 57 ]) );
+    ( (4, 11),
+      (49, 9, [ 7; 13; 17; 21; 23; 28; 29; 30; 33; 36; 39; 43; 44; 49; 56 ]),
+      (55, 12, [ 1; 2; 3; 9; 12; 13; 14; 22; 29; 35; 38; 39; 45; 58 ]) );
+    ( (7, 2),
+      (33, 12, [ 6; 10; 13; 18; 26; 29; 33; 47; 48; 52; 55; 56 ]),
+      (48, 9, [ 0; 1; 3; 6; 15; 17; 23; 24; 25; 34; 37; 38; 42; 43; 48; 55 ]) ) ]
+
+let check_fallback label (fallback, rounds, mis) (fallback', rounds', mis') =
+  Alcotest.(check int) (label ^ " fallback_nodes") fallback fallback';
+  Alcotest.(check int) (label ^ " rounds") rounds rounds';
+  Alcotest.(check (list int)) (label ^ " mis") mis (members mis')
+
+let test_fair_bipart_fallback_golden () =
+  List.iter
+    (fun ((gseed, pseed), expected, _) ->
+      let mis, tr =
+        Fair_bipart.run_traced ~gamma:1 (fallback_graph gseed) (plan pseed)
+      in
+      check_fallback
+        (Printf.sprintf "g=%d p=%d" gseed pseed)
+        expected
+        (tr.Fair_bipart.fallback_nodes, tr.Fair_bipart.rounds, mis))
+    fallback_cases
+
+let test_color_mis_fallback_golden () =
+  List.iter
+    (fun ((gseed, pseed), _, expected) ->
+      let v = fallback_graph gseed in
+      let p = plan pseed in
+      let col = Coloring.randomized_greedy v p in
+      let mis, tr =
+        Color_mis.run_traced ~gamma:1 v ~coloring:col.Coloring.colors
+          ~k:col.Coloring.palette p
+      in
+      check_fallback
+        (Printf.sprintf "g=%d p=%d" gseed pseed)
+        expected
+        (tr.Color_mis.fallback_nodes, tr.Color_mis.rounds, mis))
+    fallback_cases
+
 let suite =
   [ ( "algo.construct_block",
       [ prop_block_fast_matches_tables;
@@ -407,7 +461,9 @@ let suite =
         Alcotest.test_case "gamma default" `Quick test_fair_bipart_gamma_default;
         prop_fair_bipart_distributed_matches_fast;
         prop_fair_bipart_distributed_trees;
-        prop_fair_bipart_distributed_small_gamma ] );
+        prop_fair_bipart_distributed_small_gamma;
+        Alcotest.test_case "fallback accounting golden (gamma 1)" `Quick
+          test_fair_bipart_fallback_golden ] );
     ( "algo.coloring",
       [ prop_greedy_coloring_proper;
         prop_greedy_coloring_deg_plus_one;
@@ -426,7 +482,9 @@ let suite =
         prop_color_mis_adaptive_valid;
         prop_color_mis_planar_valid;
         prop_color_mis_distributed_matches_fast;
-        Alcotest.test_case "k validation" `Quick test_color_mis_k_validation ] );
+        Alcotest.test_case "k validation" `Quick test_color_mis_k_validation;
+        Alcotest.test_case "fallback accounting golden (gamma 1)" `Quick
+          test_color_mis_fallback_golden ] );
     ( "algo.centralized",
       [ prop_greedy_permutation_valid;
         prop_fair_bipartite_centralized;
