@@ -37,13 +37,21 @@ let stage name f =
   Test.make ~name (Staged.stage (fun () -> f next_seed))
 
 (* One Bechamel test per table/figure workload: the cost of a single
-   simulated run of the relevant algorithm on the relevant topology. *)
+   simulated run of the relevant algorithm on the relevant topology.
+   Luby and FairTree run on a kernel built once per topology, as the
+   Monte Carlo estimates run them, so the rows time the run and not the
+   topology compile. *)
 let timing_tests () =
-  let binary = lazy (View.full (Mis_workload.Trees.complete_kary ~branch:2 ~depth:10)) in
-  let alt30 = lazy (View.full (Mis_workload.Trees.alternating ~branch:30 ~depth:3)) in
-  let dartmouth = lazy (View.full (Mis_workload.Real_world.dartmouth_like ~seed:1)) in
-  let star = lazy (View.full (Mis_workload.Trees.star 1024)) in
-  let cone = lazy (View.full (Mis_workload.Special.cone ~k:64)) in
+  let kernel g = lazy (Mis_sim.Kernel.create (View.full g)) in
+  let binary = kernel (Mis_workload.Trees.complete_kary ~branch:2 ~depth:10) in
+  let alt30 = kernel (Mis_workload.Trees.alternating ~branch:30 ~depth:3) in
+  let dartmouth = kernel (Mis_workload.Real_world.dartmouth_like ~seed:1) in
+  let star = kernel (Mis_workload.Trees.star 1024) in
+  let cone = kernel (Mis_workload.Special.cone ~k:64) in
+  let luby k plan = ignore (Fairmis.Luby.run_kernel_on (Lazy.force k) plan) in
+  let fair_tree k plan =
+    ignore (Fairmis.Fair_tree.run_kernel_on (Lazy.force k) plan)
+  in
   let grid = lazy (View.full (Mis_workload.Bipartite.grid ~width:16 ~height:16)) in
   let trigrid = lazy (View.full (Mis_workload.Planar.triangular_grid ~width:18 ~height:18)) in
   let rooted =
@@ -53,21 +61,21 @@ let timing_tests () =
   in
   let sim_tree = lazy (View.full (Helpers_bench.random_tree 256)) in
   [ stage "table1/luby/binary-2047" (fun next_seed ->
-        Fairmis.Luby.run (Lazy.force binary) (Rand_plan.make (next_seed ())));
+        luby binary (Rand_plan.make (next_seed ())));
     stage "table1/fairtree/binary-2047" (fun next_seed ->
-        Fairmis.Fair_tree.run (Lazy.force binary) (Rand_plan.make (next_seed ())));
+        fair_tree binary (Rand_plan.make (next_seed ())));
     stage "table1/luby/alt30-961" (fun next_seed ->
-        Fairmis.Luby.run (Lazy.force alt30) (Rand_plan.make (next_seed ())));
+        luby alt30 (Rand_plan.make (next_seed ())));
     stage "table1/fairtree/alt30-961" (fun next_seed ->
-        Fairmis.Fair_tree.run (Lazy.force alt30) (Rand_plan.make (next_seed ())));
+        fair_tree alt30 (Rand_plan.make (next_seed ())));
     stage "fig4/luby/dartmouth-178" (fun next_seed ->
-        Fairmis.Luby.run (Lazy.force dartmouth) (Rand_plan.make (next_seed ())));
+        luby dartmouth (Rand_plan.make (next_seed ())));
     stage "fig4/fairtree/dartmouth-178" (fun next_seed ->
-        Fairmis.Fair_tree.run (Lazy.force dartmouth) (Rand_plan.make (next_seed ())));
+        fair_tree dartmouth (Rand_plan.make (next_seed ())));
     stage "star/luby/star-1024" (fun next_seed ->
-        Fairmis.Luby.run (Lazy.force star) (Rand_plan.make (next_seed ())));
+        luby star (Rand_plan.make (next_seed ())));
     stage "cone/luby/cone-k64" (fun next_seed ->
-        Fairmis.Luby.run (Lazy.force cone) (Rand_plan.make (next_seed ())));
+        luby cone (Rand_plan.make (next_seed ())));
     stage "rooted/fairrooted/binary-511" (fun next_seed ->
         Fairmis.Fair_rooted.run (Lazy.force rooted) (Rand_plan.make (next_seed ())));
     stage "bipart/fairbipart/grid-256" (fun next_seed ->
@@ -136,26 +144,33 @@ let run_pool_scaling () =
   print_endline
     "== parallel: 1000-trial fairness workload, worker pool vs spawn engine";
   let trials = 1000 and n = 1000 in
-  let view = View.full (Helpers_bench.random_tree n) in
+  (* One topology compile; each chunk builds its own kernel over it, so
+     both engines pay the same per-chunk cost and the rows time the pool. *)
+  let csr = Mis_sim.Csr.compile (View.full (Helpers_bench.random_tree n)) in
+  let record kernel acc seed =
+    Mis_obs.Fairness.record acc
+      ~in_mis:
+        (Fairmis.Luby.run_kernel_on kernel (Rand_plan.make seed))
+          .Mis_sim.Kernel.output
+  in
   let pool_work domains =
     let spec = { Mis_exp.Trials.trials; seed = 11; domains = Some domains } in
     ignore
-      (Mis_exp.Trials.fairness spec ~n (fun acc ~seed ->
-           Mis_obs.Fairness.record acc
-             ~in_mis:(Fairmis.Luby.run view (Rand_plan.make seed))))
+      (Mis_exp.Trials.fairness_ctx spec ~n
+         ~ctx:(fun () -> Mis_sim.Kernel.of_csr csr)
+         (fun kernel acc ~seed -> record kernel acc seed))
   in
   let spawn_work domains =
     (* the same fold, forced through the spawn-per-call reference
        engine: fresh domains every call, no hardware clamp *)
     ignore
       (Mis_stats.Parallel.map_reduce_unpooled ~domains ~tasks:trials
-         ~init:(fun () -> Mis_obs.Fairness.create ~n)
-         ~merge:(fun a b ->
+         ~init:(fun () ->
+           (Mis_sim.Kernel.of_csr csr, Mis_obs.Fairness.create ~n))
+         ~merge:(fun (k, a) (_, b) ->
            Mis_obs.Fairness.merge a b;
-           a)
-         (fun acc i ->
-           Mis_obs.Fairness.record acc
-             ~in_mis:(Fairmis.Luby.run view (Rand_plan.make (11 + i)))))
+           (k, a))
+         (fun (kernel, acc) i -> record kernel acc (11 + i)))
   in
   let time_best work domains =
     let best = ref infinity in

@@ -75,34 +75,48 @@ let pos_int what = bounded_int ~min:1 what
 let nonneg_int what = bounded_int ~min:0 what
 
 (* Backend selection for the simulator-backed algorithms: the message
-   engine or the data-parallel kernel sweeps (bit-identical results). *)
+   engine or the data-parallel kernel sweeps (bit-identical results).
+   Omitted, the algorithm's own runner is used. *)
 let backend_arg =
   Arg.(value
       & opt
-          (enum
-             (List.map
-                (fun b -> (Fairmis.Backend.to_string b, b))
-                Fairmis.Backend.all))
-          Fairmis.Backend.Message
+          (some
+             (enum
+                (List.map
+                   (fun b -> (Fairmis.Backend.to_string b, b))
+                   Fairmis.Backend.all)))
+          None
       & info [ "backend" ]
           ~doc:
             (Printf.sprintf
                "Execution backend: $(b,message) (the message-passing \
-                engine) or $(b,kernel) (data-parallel array sweeps over \
-                the compiled CSR; bit-identical decisions). $(b,kernel) \
-                supports: %s."
+                engine, the reference semantics) or $(b,kernel) \
+                (data-parallel array sweeps over the compiled CSR; \
+                bit-identical decisions). Both support only: %s. Omitted, \
+                the algorithm's default runner is used (the kernel for \
+                luby and fairtree)."
                (String.concat ", " Fairmis.Backend.supported)))
 
-let backed_runner backend alg =
-  match Mis_exp.Runners.backed backend alg with
-  | Some b -> b
-  | None ->
-    or_die
-      (Error
-         (Printf.sprintf "--backend %s supports only: %s (got %S)"
-            (Fairmis.Backend.to_string backend)
-            (String.concat ", " Fairmis.Backend.supported)
-            alg))
+(* The runner behind [--backend]: the algorithm's own [Runners.t] when
+   the flag is omitted, otherwise the backend runner in the same shape. *)
+let selected_runner backend alg =
+  match backend with
+  | None -> or_die (runner_of_name alg)
+  | Some backend -> (
+    match Mis_exp.Runners.backed backend alg with
+    | Some b ->
+      { Mis_exp.Runners.name =
+          Printf.sprintf "%s [%s]" b.Mis_exp.Runners.b_display
+            (Fairmis.Backend.to_string backend);
+        run = (fun view ~seed -> b.Mis_exp.Runners.b_prepare view () ~seed);
+        prepare = b.Mis_exp.Runners.b_prepare }
+    | None ->
+      or_die
+        (Error
+           (Printf.sprintf "--backend %s supports only: %s (got %S)"
+              (Fairmis.Backend.to_string backend)
+              (String.concat ", " Fairmis.Backend.supported)
+              alg)))
 
 (* list *)
 
@@ -218,16 +232,9 @@ let run_cmd =
   let run alg spec seed backend members dot =
     let g = or_die (graph_of_spec spec) in
     let view = View.full g in
-    let display, mis =
-      match backend with
-      | Fairmis.Backend.Message ->
-        let runner = or_die (runner_of_name alg) in
-        (runner.Mis_exp.Runners.name, runner.Mis_exp.Runners.run view ~seed)
-      | Fairmis.Backend.Kernel ->
-        let b = backed_runner backend alg in
-        ( b.Mis_exp.Runners.b_display ^ " [kernel]",
-          b.Mis_exp.Runners.b_prepare view () ~seed )
-    in
+    let runner = selected_runner backend alg in
+    let display = runner.Mis_exp.Runners.name in
+    let mis = runner.Mis_exp.Runners.run view ~seed in
     Fairmis.Mis.verify ~name:alg view mis;
     let size = Array.fold_left (fun a b -> if b then a + 1 else a) 0 mis in
     Printf.printf "%s on %s (seed %d): MIS size %d / %d nodes — valid\n"
@@ -267,25 +274,13 @@ let measure_cmd =
   let run alg spec seed backend trials domains csv =
     let g = or_die (graph_of_spec spec) in
     let view = View.full g in
-    let display, e =
-      match backend with
-      | Fairmis.Backend.Message ->
-        let runner = or_die (runner_of_name alg) in
-        let cfg = { Mis_stats.Montecarlo.trials; base_seed = seed; domains } in
-        ( runner.Mis_exp.Runners.name,
-          Mis_stats.Montecarlo.estimate
-            ~check:(fun mis -> Fairmis.Mis.verify ~name:alg view mis)
-            cfg view
-            (fun ~seed -> runner.Mis_exp.Runners.run view ~seed) )
-      | Fairmis.Backend.Kernel ->
-        let b = backed_runner backend alg in
-        let cfg =
-          { Mis_exp.Config.trials; seed; domains;
-            nyc = Mis_exp.Config.Nyc_skip; full = false }
-        in
-        ( b.Mis_exp.Runners.b_display ^ " [kernel]",
-          Mis_exp.Runners.measure_backed cfg view b )
+    let runner = selected_runner backend alg in
+    let display = runner.Mis_exp.Runners.name in
+    let cfg =
+      { Mis_exp.Config.trials; seed; domains; nyc = Mis_exp.Config.Nyc_skip;
+        full = false }
     in
+    let e = Mis_exp.Runners.measure cfg view runner in
     let s = Empirical.summarize e in
     Printf.printf
       "%s on %s: trials=%d  inequality factor=%s  min P=%.4f  max P=%.4f  mean P=%.4f\n"

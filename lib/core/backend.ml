@@ -23,8 +23,8 @@ let of_kernel (o : Mis_sim.Kernel.outcome) =
     rounds = o.Mis_sim.Kernel.rounds }
 
 (* Two stages. [prepare_*] compiles the view's topology once (the
-   [Csr.compile] half, 0.06-1.2 ms on the Table I trees: as much as a
-   whole kernel run). Each application of the result to [()] builds the
+   [Csr.compile] half, about as costly as one Luby kernel run on the
+   Table I trees). Each application of the result to [()] builds the
    per-domain half over that shared, read-only [Csr.t]: an engine's
    queues and contexts, or a kernel's sweep scratch. Trial drivers
    prepare once per estimate and instantiate once per domain-chunk

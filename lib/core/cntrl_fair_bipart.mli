@@ -13,22 +13,6 @@
     may arise; the result is then not necessarily independent or maximal —
     exactly as in the paper, where later stages repair it. *)
 
-type result = {
-  joined : bool array;
-  leader : int array;  (** Adopted leader id per node; [-1] if unreached. *)
-  level : int array;  (** Depth from the adopted leader; [-1] if unreached. *)
-  rounds : int;  (** [2 * d_hat] communication rounds. *)
-}
-
-val run : Mis_graph.View.t -> d_hat:int -> bit_of:(int -> bool) -> result
-(** Fast engine. Node ids are their indices. [bit_of u] is the bit node
-    [u] would flip were it elected leader; pass a {!Rand_plan} closure.
-    [d_hat] must be at least 1.
-    Exactly reproduces the round-by-round distributed semantics: the
-    common case (single leader covering the component within [d_hat])
-    is computed directly, any other component falls back to literal
-    synchronous relaxation. *)
-
 type message =
   | Max_id of int
   | Bfs of { lead : int; depth : int; bit : bool }
@@ -37,6 +21,12 @@ type state
 
 val program :
   d_hat:int -> bit_of:(int -> bool) -> (state, message) Mis_sim.Program.t
+(** The message program: [d_hat] rounds of flood-max, then [d_hat] rounds
+    of BFS adoption; every node decides in round [2 * d_hat]. [bit_of id]
+    is the bit node [id] would flip were it elected leader; pass a
+    {!Rand_plan} closure. FairTree embeds three such stages
+    ({!Fair_tree_distributed}, and {!Mis_sim.Kernel.fair_tree} as sweeps).
+    @raise Invalid_argument when [d_hat < 1]. *)
 
 val run_distributed :
   Mis_graph.View.t ->

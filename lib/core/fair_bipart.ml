@@ -48,12 +48,10 @@ let run_traced ?(p = 0.5) ?gamma view plan =
   let final, luby_rounds =
     if fallback_nodes = 0 then (i1, 0)
     else begin
-      let g = View.graph view in
-      let base_edges =
-        Array.init (Mis_graph.Graph.m g) (View.usable_edge view) in
-      let v2 = View.restrict ~nodes:rest ~edges:base_edges g in
-      let joined, stats = Luby.run_stats ~stage:Stage.fair_bipart_luby v2 plan in
-      (Array.init n (fun u -> i1.(u) || joined.(u)), 3 * stats.Luby.phases)
+      let joined, phases =
+        Luby.fallback ~stage:Stage.fair_bipart_luby view ~nodes:rest plan
+      in
+      (Array.init n (fun u -> i1.(u) || joined.(u)), 3 * phases)
     end
   in
   let rounds = blocks.Construct_block.rounds + 1 + luby_rounds in

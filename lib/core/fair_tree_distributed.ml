@@ -304,15 +304,12 @@ let message_bits ~n m =
 let gamma_for ~n gamma =
   match gamma with Some v -> v | None -> Fair_tree.gamma_default ~n
 
-let max_rounds_for ~n ~gamma =
-  (6 * gamma) + 6 + (64 * (ceil_log2 (max n 2) + 2))
-
 let run ?gamma ?tracer view plan =
   let n = Mis_graph.View.n view in
   let gamma = gamma_for ~n gamma in
   let prog = program ~plan ~gamma in
   Mis_sim.Runtime.run
-    ~max_rounds:(max_rounds_for ~n ~gamma)
+    ~max_rounds:(Fair_tree.max_rounds_for ~n ~gamma)
     ~size_bits:(message_bits ~n) ?tracer
     ~rng_of:(fun u -> Rand_plan.node_stream plan ~stage:99 ~node:u)
     view prog
@@ -322,29 +319,12 @@ let run_on ?gamma ?tracer engine plan =
   let gamma = gamma_for ~n gamma in
   let prog = program ~plan ~gamma in
   Mis_sim.Runtime.Engine.exec
-    ~max_rounds:(max_rounds_for ~n ~gamma)
+    ~max_rounds:(Fair_tree.max_rounds_for ~n ~gamma)
     ~size_bits:(message_bits ~n) ?tracer
     ~rng_of:(fun u -> Rand_plan.node_stream plan ~stage:99 ~node:u)
     engine prog
 
-(* The kernel backend takes the protocol's coins as closures, so the
-   Rand_plan keying stays defined in exactly one place per draw. *)
-let kernel_coins plan =
-  { Mis_sim.Kernel.cut =
-      (fun ~u ~v -> Rand_plan.edge_bit plan ~stage:Stage.fair_tree_cut ~u ~v);
-    bit1 = (fun id -> Rand_plan.node_bit plan ~stage:Stage.fair_tree_s1 ~node:id);
-    bit2 = (fun id -> Rand_plan.node_bit plan ~stage:Stage.fair_tree_s2 ~node:id);
-    bit3 = (fun id -> Rand_plan.node_bit plan ~stage:Stage.fair_tree_s3 ~node:id);
-    luby_value =
-      (fun ~round ~id ->
-        Rand_plan.node_value plan ~stage:Stage.fair_tree_luby ~round ~node:id) }
-
-let run_kernel_on ?gamma kernel plan =
-  let n = Mis_graph.View.n (Mis_sim.Kernel.view kernel) in
-  let gamma = gamma_for ~n gamma in
-  Mis_sim.Kernel.fair_tree
-    ~max_rounds:(max_rounds_for ~n ~gamma)
-    ~gamma ~coins:(kernel_coins plan) kernel
+let run_kernel_on = Fair_tree.run_kernel_on
 
 let run_kernel ?gamma view plan =
   run_kernel_on ?gamma (Mis_sim.Kernel.create view) plan

@@ -16,9 +16,9 @@
     - stage 4: covered nodes terminate; the rest run Luby's algorithm
       (3 rounds per phase) until termination.
 
-    With identity ids, the program flips exactly the same coins as
-    {!Fair_tree.run}, so both produce identical MIS outputs for any seed —
-    asserted by the test suite. *)
+    With identity ids, the program flips exactly the same coins as the
+    kernel backend ({!run_kernel}, {!Fair_tree.run}), so both produce
+    identical MIS outputs for any seed — asserted by the test suite. *)
 
 type state
 
@@ -54,7 +54,8 @@ val run_kernel :
 
 val run_kernel_on :
   ?gamma:int -> Mis_sim.Kernel.t -> Rand_plan.t -> Mis_sim.Kernel.outcome
-(** {!run_kernel} on a prebuilt kernel (the fast, reusing path). *)
+(** {!run_kernel} on a prebuilt kernel (the fast, reusing path); the
+    same function as {!Fair_tree.run_kernel_on}. *)
 
 val message_bits : n:int -> Messages.t -> int
 (** Size accounting: every message fits in O(log n) bits. *)

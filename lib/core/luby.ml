@@ -1,65 +1,11 @@
 module View = Mis_graph.View
 module Program = Mis_sim.Program
 
-type stats = { phases : int }
-
 let default_stage = Rand_plan.Stage.luby_main
 
 (* A node wins a phase when its (value, id) pair is a strict lexicographic
    minimum among itself and its live neighbors. *)
 let beats (v1, id1) (v2, id2) = v1 < v2 || (v1 = v2 && id1 < id2)
-
-let run_stats ?(stage = default_stage) view plan =
-  let n = View.n view in
-  let in_mis = Array.make n false in
-  let alive = Array.make n false in
-  View.iter_active view (fun u -> alive.(u) <- true);
-  (* In-place frontier: [cur.(0 .. len-1)] holds the live nodes in
-     stable order, compacted after each phase; [winners] is a scratch
-     buffer so the winner set is computed against the pre-marking
-     [alive] snapshot. No per-phase list round-trips. *)
-  let cur = View.active_nodes view in
-  let len = ref (Array.length cur) in
-  let winners = Array.make (max 1 !len) 0 in
-  let value = Array.make n 0 in
-  let phase = ref 0 in
-  while !len > 0 do
-    for i = 0 to !len - 1 do
-      let u = cur.(i) in
-      value.(u) <- Rand_plan.node_value plan ~stage ~round:!phase ~node:u
-    done;
-    let wlen = ref 0 in
-    for i = 0 to !len - 1 do
-      let u = cur.(i) in
-      let mine = (value.(u), u) in
-      let beaten = ref false in
-      View.iter_adj view u (fun w ->
-          if alive.(w) && not (beats mine (value.(w), w)) then beaten := true);
-      if not !beaten then begin
-        winners.(!wlen) <- u;
-        incr wlen
-      end
-    done;
-    for i = 0 to !wlen - 1 do
-      let u = winners.(i) in
-      in_mis.(u) <- true;
-      alive.(u) <- false;
-      View.iter_adj view u (fun w -> alive.(w) <- false)
-    done;
-    let w = ref 0 in
-    for i = 0 to !len - 1 do
-      let u = cur.(i) in
-      if alive.(u) then begin
-        cur.(!w) <- u;
-        incr w
-      end
-    done;
-    len := !w;
-    incr phase
-  done;
-  (in_mis, { phases = !phase })
-
-let run ?stage view plan = fst (run_stats ?stage view plan)
 
 type message =
   | Value of int
@@ -137,3 +83,17 @@ let run_kernel_on ?(stage = default_stage) kernel plan =
 
 let run_kernel ?stage view plan =
   run_kernel_on ?stage (Mis_sim.Kernel.create view) plan
+
+let run ?stage view plan = (run_kernel ?stage view plan).Mis_sim.Kernel.output
+
+(* The Luby stage that finishes a composite algorithm: the kernel on the
+   [nodes]-induced part of [view]. Phases span 3 rounds; the last one
+   ends after its winners (round 3p+1) or their neighbors (3p+2). *)
+let fallback ~stage view ~nodes plan =
+  let g = Mis_graph.View.graph view in
+  let edges =
+    Array.init (Mis_graph.Graph.m g) (Mis_graph.View.usable_edge view)
+  in
+  let o = run_kernel ~stage (Mis_graph.View.restrict ~nodes ~edges g) plan in
+  let rounds = o.Mis_sim.Kernel.rounds in
+  (o.Mis_sim.Kernel.output, if rounds = 0 then 0 else ((rounds - 1) / 3) + 1)

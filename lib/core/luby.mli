@@ -7,14 +7,23 @@
     minimum joins the MIS, after which it and its neighbors leave the
     graph. O(log n) phases with high probability. *)
 
-type stats = { phases : int }
-
 val run : ?stage:int -> Mis_graph.View.t -> Rand_plan.t -> bool array
-(** Fast array engine over the active subgraph. [stage] defaults to
-    [Rand_plan.Stage.luby_main]; composite algorithms pass their own stage
-    tag so the fallback coins are independent of earlier stages. *)
+(** MIS membership of one run over the active subgraph: {!run_kernel}'s
+    output, compiling the view per call (prepare a {!Mis_sim.Kernel} and
+    use {!run_kernel_on} to repeat runs). [stage] defaults to
+    [Rand_plan.Stage.luby_main]; composite algorithms pass their own
+    stage tag so the fallback coins are independent of earlier stages. *)
 
-val run_stats : ?stage:int -> Mis_graph.View.t -> Rand_plan.t -> bool array * stats
+val fallback :
+  stage:int ->
+  Mis_graph.View.t ->
+  nodes:bool array ->
+  Rand_plan.t ->
+  bool array * int
+(** [fallback ~stage view ~nodes plan] runs Luby on the subgraph of
+    [view] induced by [nodes] — the maximality fallback of FairBipart and
+    ColorMIS — and returns the membership and the number of 3-round
+    phases it took (0 when [nodes] is empty). *)
 
 (** Messages of the distributed program (3 rounds per phase). *)
 type message =
@@ -25,9 +34,10 @@ type message =
 type state
 
 val program : Rand_plan.t -> stage:int -> (state, message) Mis_sim.Program.t
-(** Faithful message-passing implementation. With default ids (the node
-    index) it flips exactly the same coins as {!run}, so both engines
-    return identical sets — asserted in the test suite. *)
+(** Faithful message-passing implementation, the reference semantics:
+    with default ids (the node index) the kernel flips exactly the same
+    coins, so both backends return identical sets — asserted in the test
+    suite. *)
 
 val run_distributed :
   ?stage:int ->

@@ -10,6 +10,7 @@ let checkpoints = [ 250; 500; 1000; 2000; 5000; 10_000 ]
    its join counts are added to the running totals. *)
 let factor_trajectory cfg view (runner : Runners.t) =
   let n = View.n view in
+  let prepared = runner.Runners.prepare view in
   let joins = Array.make n 0 in
   let mask = Array.init n (View.node_active view) in
   let results = ref [] in
@@ -22,8 +23,7 @@ let factor_trajectory cfg view (runner : Runners.t) =
             { Trials.trials = target - !finished;
               seed = cfg.Config.seed + !finished;
               domains = cfg.Config.domains }
-            ~n
-            (fun ~seed -> runner.Runners.run view ~seed)
+            ~n prepared
         in
         for u = 0 to n - 1 do
           joins.(u) <- joins.(u) + seg.(u)

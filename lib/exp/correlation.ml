@@ -1,6 +1,5 @@
 module View = Mis_graph.View
 module Joint = Mis_stats.Joint
-module Rand_plan = Fairmis.Rand_plan
 
 let distances = [ 1; 2; 3; 4; 5; 6; 8 ]
 
@@ -16,10 +15,11 @@ let pairs_of view ~anchor =
 
 let light cfg = { cfg with Config.trials = min cfg.Config.trials 4000 }
 
-let measure cfg pairs run =
-  Trials.fold (Trials.of_config cfg)
+let measure cfg view pairs (runner : Runners.t) =
+  Trials.fold_ctx (Trials.of_config cfg)
+    ~ctx:(runner.Runners.prepare view)
     ~init:(fun () -> Joint.create ~pairs:(Array.of_list (List.map snd pairs)))
-    ~trial:(fun joint ~seed -> Joint.record joint (run ~seed))
+    ~trial:(fun run joint ~seed -> Joint.record joint (run ~seed))
     ~merge:(fun a b ->
       Joint.merge ~into:a b;
       a)
@@ -37,14 +37,8 @@ let run cfg =
     (fun (name, g, anchor) ->
       let view = View.full g in
       let pairs = pairs_of view ~anchor in
-      let luby =
-        measure cfg pairs (fun ~seed ->
-            Fairmis.Luby.run view (Rand_plan.make seed))
-      in
-      let fair =
-        measure cfg pairs (fun ~seed ->
-            Fairmis.Fair_tree.run view (Rand_plan.make seed))
-      in
+      let luby = measure cfg view pairs Runners.luby in
+      let fair = measure cfg view pairs Runners.fair_tree in
       Printf.printf "%s (anchor %d):\n" name anchor;
       let header = [ "distance"; "Luby corr"; "FairTree corr" ] in
       let body =

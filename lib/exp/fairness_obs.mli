@@ -1,8 +1,8 @@
 (** The [fairness-obs] experiment: Table I-style inequality factors
     measured from the {e trace stream} — every run executes on the
     simulator with a {!Mis_obs.Fairness.sink} as its tracer, so the
-    join counts come from decide events rather than the ad-hoc counters
-    of the fast-engine experiments. Reports min/max/mean join
+    join counts come from decide events rather than the membership
+    masks the other experiments count. Reports min/max/mean join
     probability and the inequality factor per traced algorithm, plus an
     ASCII per-node heatmap and join-frequency histogram. *)
 

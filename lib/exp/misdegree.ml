@@ -1,24 +1,19 @@
 module View = Mis_graph.View
 module Graph = Mis_graph.Graph
-module Rand_plan = Fairmis.Rand_plan
 
 let light cfg = { cfg with Config.trials = min cfg.Config.trials 2000 }
 
-let algorithms =
-  [ ("Luby's", fun view ~seed -> Fairmis.Luby.run view (Rand_plan.make seed));
-    ( "Luby-A(degree)",
-      fun view ~seed -> Fairmis.Luby_degree.run view (Rand_plan.make seed) );
-    ( "FairTree",
-      fun view ~seed -> Fairmis.Fair_tree.run view (Rand_plan.make seed) ) ]
+let algorithms = [ Runners.luby; Runners.luby_degree; Runners.fair_tree ]
 
 (* Expected (average degree of MIS members, MIS size) over the trials. *)
-let mis_degree_stats cfg view run =
+let mis_degree_stats cfg view (runner : Runners.t) =
   let g = View.graph view in
   let deg_sum, size_sum =
-    Trials.fold (Trials.of_config cfg)
+    Trials.fold_ctx (Trials.of_config cfg)
+      ~ctx:(runner.Runners.prepare view)
       ~init:(fun () -> (ref 0., ref 0))
-      ~trial:(fun (deg_sum, size_sum) ~seed ->
-        let mis = run view ~seed in
+      ~trial:(fun run (deg_sum, size_sum) ~seed ->
+        let mis = run ~seed in
         let total = ref 0 and members = ref 0 in
         Array.iteri
           (fun u b ->
@@ -53,7 +48,10 @@ let run cfg =
   in
   let header =
     [ "graph"; "avg degree" ]
-    @ List.concat_map (fun (name, _) -> [ name ^ " deg"; name ^ " size" ]) algorithms
+    @ List.concat_map
+        (fun (r : Runners.t) ->
+          [ r.Runners.name ^ " deg"; r.Runners.name ^ " size" ])
+        algorithms
   in
   let body =
     List.map
@@ -64,8 +62,8 @@ let run cfg =
         in
         [ name; Printf.sprintf "%.2f" node_avg ]
         @ List.concat_map
-            (fun (_, run) ->
-              let deg, size = mis_degree_stats cfg view run in
+            (fun runner ->
+              let deg, size = mis_degree_stats cfg view runner in
               [ Printf.sprintf "%.2f" deg; Printf.sprintf "%.1f" size ])
             algorithms)
       topologies

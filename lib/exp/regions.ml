@@ -61,23 +61,24 @@ let run cfg =
       (Fairmis.Color_mis.run_adaptive view
          ~coloring:coloring.Fairmis.Distributed_coloring.colors plan)
   in
-  let global_k ~seed = Runners.color_mis_greedy.Runners.run view ~seed in
-  let luby ~seed = Fairmis.Luby.run view (Rand_plan.make seed) in
+  (* Per-chunk runners: [prepare view] compiles Luby's kernel topology
+     once for the whole estimate. *)
   let algorithms =
-    [ ("ColorMIS adaptive-k", adaptive);
-      ("ColorMIS global-k", global_k);
-      ("Luby's", luby) ]
+    [ ("ColorMIS adaptive-k", fun () -> adaptive);
+      ("ColorMIS global-k", Runners.color_mis_greedy.Runners.prepare view);
+      ("Luby's", Runners.luby.Runners.prepare view) ]
   in
   let header =
     [ "algorithm"; "tree min P"; "tree F"; "clique min P"; "clique F" ]
   in
   let body =
     List.map
-      (fun (name, run) ->
+      (fun (name, instantiate) ->
         let counts =
-          Mis_stats.Montecarlo.run
+          Mis_stats.Montecarlo.run_ctx
             ~check:(fun mis -> Fairmis.Mis.verify ~name view mis)
-            (Config.montecarlo cfg) ~n:(Graph.n g) run
+            (Config.montecarlo cfg) ~n:(Graph.n g) ~ctx:instantiate
+            (fun run ~seed -> run ~seed)
         in
         let t_lo, _, t_f =
           region_summary counts cfg.Config.trials (fun u -> interior.(u))

@@ -21,9 +21,8 @@ let luby_on backend = staged (Fairmis.Backend.prepare_luby backend)
 let fair_tree_on backend =
   staged (fun v -> Fairmis.Backend.prepare_fair_tree backend v)
 
-(* Single calls stay on the View-based fast engine, which needs no
-   compile; estimates take the kernel, which is bit-identical and
-   faster per trial once the compile is shared. *)
+(* Both halves run on the kernel: [run] compiles per call, [prepare]
+   once per view. *)
 let luby =
   { name = "Luby's";
     run = (fun view ~seed -> Fairmis.Luby.run view (Rand_plan.make seed));

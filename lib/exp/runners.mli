@@ -18,8 +18,9 @@ val of_run : string -> (Mis_graph.View.t -> seed:int -> bool array) -> t
 
 val luby : t
 val fair_tree : t
-(** [run] is the View-based fast engine; [prepare] compiles the view
-    once and runs {!Mis_sim.Kernel}, one kernel per chunk. *)
+(** Both run on {!Mis_sim.Kernel}: [run] compiles the view per call;
+    [prepare] compiles it once and builds one kernel per chunk. Callers
+    that repeat a run on one view go through [prepare]. *)
 
 val luby_degree : t
 val fair_bipart : t

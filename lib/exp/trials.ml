@@ -34,11 +34,12 @@ let fold ?chunk ?obs spec ~init ~trial ~merge =
     ~trial:(fun () acc ~seed -> trial acc ~seed)
     ~merge
 
-let counts ?check ?obs spec ~n run_once =
-  Mis_stats.Montecarlo.run ?check ?obs
+let counts ?check ?obs spec ~n instantiate =
+  Mis_stats.Montecarlo.run_ctx ?check ?obs
     { Mis_stats.Montecarlo.trials = spec.trials; base_seed = spec.seed;
       domains = spec.domains }
-    ~n run_once
+    ~n ~ctx:instantiate
+    (fun run ~seed -> run ~seed)
 
 let fairness_ctx ?chunk ?obs spec ~n ~ctx trial =
   fold_ctx ?chunk ?obs spec ~ctx

@@ -60,10 +60,12 @@ val counts :
   ?obs:Mis_obs.Metrics.t ->
   spec ->
   n:int ->
-  (seed:int -> bool array) ->
+  (unit -> seed:int -> bool array) ->
   int array
-(** Per-node join counts over [spec.trials] runs of a membership-mask
-    runner ({!Mis_stats.Montecarlo.run} under the spec's seeds). *)
+(** Per-node join counts over [spec.trials] runs of a per-chunk
+    membership-mask runner ({!Mis_stats.Montecarlo.run_ctx} under the
+    spec's seeds): [instantiate ()] runs once per domain-chunk, e.g. a
+    {!Runners.t}'s [prepare view]. *)
 
 val fairness_runner :
   ?chunk:int ->

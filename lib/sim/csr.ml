@@ -5,7 +5,9 @@ module View = Mis_graph.View
    message rings and per-node contexts on top; [Kernel] layers frontier
    and mask scratch. Keeping the compile here means the two backends are
    guaranteed to agree on slot numbering and adjacency order — the
-   bit-identity contract between them starts with this file. *)
+   bit-identity contract between them starts with this file. Only what
+   both backends read is built here; anything one backend alone needs
+   lives with that backend. *)
 
 type t = {
   c_view : View.t;
@@ -13,74 +15,58 @@ type t = {
   ids : int array;
   active : int array;  (* slot -> node index *)
   slot : int array;  (* node index -> slot, or -1 *)
-  (* CSR adjacency over slots: neighbors of [active.(s)], as node
-     indices in view iteration order, live at
-     [adj_node.(adj_off.(s)) .. adj_node.(adj_off.(s+1) - 1)]. *)
+  (* CSR adjacency over slots: the neighbors of [active.(s)], in view
+     iteration order, are the slots
+     [adj_slot.(adj_off.(s)) .. adj_slot.(adj_off.(s+1) - 1)]. *)
   adj_off : int array;
-  adj_node : int array;
-  adj_slot : int array;  (* same ranges: slot of each neighbor *)
-  adj_sorted : int array;  (* same ranges, sorted: membership tests *)
-  index_of_id : (int, int) Hashtbl.t;
+  adj_slot : int array;
 }
+
+(* Caller-supplied ids are outside input: reject a wrong length or a
+   repeated id among the active nodes. The identity map needs no check. *)
+let check_ids view ids active =
+  if Array.length ids <> View.n view then invalid_arg "Runtime.run: ids length";
+  let seen = Hashtbl.create ((2 * Array.length active) + 1) in
+  Array.iter
+    (fun u ->
+      if Hashtbl.mem seen ids.(u) then invalid_arg "Runtime.run: duplicate ids";
+      Hashtbl.add seen ids.(u) ())
+    active
 
 let compile ?ids view =
   let n = View.n view in
-  let ids = match ids with Some a -> a | None -> Array.init n (fun i -> i) in
-  if Array.length ids <> n then invalid_arg "Runtime.run: ids length";
   let active = View.active_nodes view in
+  let ids =
+    match ids with
+    | Some a ->
+      check_ids view a active;
+      a
+    | None -> Array.init n (fun i -> i)
+  in
   let nslots = Array.length active in
-  let index_of_id = Hashtbl.create ((2 * nslots) + 1) in
-  Array.iter
-    (fun u ->
-      if Hashtbl.mem index_of_id ids.(u) then
-        invalid_arg "Runtime.run: duplicate ids";
-      Hashtbl.add index_of_id ids.(u) u)
-    active;
   let slot = Array.make n (-1) in
   Array.iteri (fun s u -> slot.(u) <- s) active;
-  let deg = Array.make nslots 0 in
-  Array.iteri
-    (fun s u -> View.iter_adj view u (fun _ -> deg.(s) <- deg.(s) + 1))
-    active;
+  (* One adjacency pass into a buffer sized by the full-graph degrees,
+     exact for a full view and trimmed otherwise. View adjacency only
+     yields active endpoints, so every entry has a slot. One padding
+     entry keeps the array non-empty. *)
+  let g = View.graph view in
+  let bound =
+    Array.fold_left (fun acc u -> acc + Mis_graph.Graph.degree g u) 0 active
+  in
+  let buf = Array.make (max 1 bound) 0 in
   let adj_off = Array.make (nslots + 1) 0 in
-  for s = 0 to nslots - 1 do
-    adj_off.(s + 1) <- adj_off.(s) + deg.(s)
-  done;
-  let adj_node = Array.make (max 1 adj_off.(nslots)) 0 in
-  let fill = Array.make nslots 0 in
+  let k = ref 0 in
   Array.iteri
     (fun s u ->
       View.iter_adj view u (fun v ->
-          adj_node.(adj_off.(s) + fill.(s)) <- v;
-          fill.(s) <- fill.(s) + 1))
+          buf.(!k) <- slot.(v);
+          incr k);
+      adj_off.(s + 1) <- !k)
     active;
-  let adj_sorted = Array.copy adj_node in
-  for s = 0 to nslots - 1 do
-    let sub = Array.sub adj_sorted adj_off.(s) deg.(s) in
-    Array.sort (fun (a : int) b -> compare a b) sub;
-    Array.blit sub 0 adj_sorted adj_off.(s) deg.(s)
-  done;
-  (* View adjacency only yields active endpoints, so every real entry
-     has a slot; [adj_node]'s padding entry (empty adjacency) is skipped. *)
-  let adj_slot = Array.make (Array.length adj_node) 0 in
-  for i = 0 to adj_off.(nslots) - 1 do
-    adj_slot.(i) <- slot.(adj_node.(i))
-  done;
-  { c_view = view; n; ids; active; slot; adj_off; adj_node; adj_slot;
-    adj_sorted; index_of_id }
+  let adj_slot = if !k = bound then buf else Array.sub buf 0 (max 1 !k) in
+  { c_view = view; n; ids; active; slot; adj_off; adj_slot }
 
 let view t = t.c_view
 let nslots t = Array.length t.active
 let deg t s = t.adj_off.(s + 1) - t.adj_off.(s)
-
-(* Membership of node index [v] among the neighbors of slot [s]. *)
-let is_neighbor t s v =
-  let lo = ref t.adj_off.(s) and hi = ref (t.adj_off.(s + 1) - 1) in
-  let found = ref false in
-  while (not !found) && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let x = t.adj_sorted.(mid) in
-    if x = v then found := true else if x < v then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found

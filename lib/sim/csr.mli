@@ -16,16 +16,15 @@ type t = {
   slot : int array;  (** Node index -> slot, or [-1] when inactive. *)
   adj_off : int array;
       (** Slot [s]'s neighbors occupy entries [adj_off.(s) ..
-          adj_off.(s+1) - 1] of the adjacency arrays. *)
-  adj_node : int array;  (** Neighbor node indices, view order. *)
-  adj_slot : int array;  (** Neighbor slots, same entry order. *)
-  adj_sorted : int array;  (** Per-slot sorted copy for membership. *)
-  index_of_id : (int, int) Hashtbl.t;  (** Id -> node index. *)
+          adj_off.(s+1) - 1] of [adj_slot]. *)
+  adj_slot : int array;
+      (** Neighbor slots in view iteration order (the neighbor's node
+          index is [active.(adj_slot.(k))]). *)
 }
 
 val compile : ?ids:int array -> Mis_graph.View.t -> t
 (** Compile [view] and the optional index-to-id map (default the
-    identity).
+    identity). Supplied ids are checked once, here.
 
     @raise Invalid_argument with the messages documented under
     {!Runtime.run} when [ids] has the wrong length or assigns duplicate
@@ -35,7 +34,3 @@ val view : t -> Mis_graph.View.t
 val nslots : t -> int
 val deg : t -> int -> int
 (** [deg t s] is the number of neighbors of slot [s]. *)
-
-val is_neighbor : t -> int -> int -> bool
-(** [is_neighbor t s v] — is node index [v] adjacent to slot [s]?
-    Binary search over the sorted adjacency, [O(log deg)]. *)

@@ -100,7 +100,7 @@ let ft_scratch t =
   | Some s -> s
   | None ->
     let k = max 1 (Csr.nslots t.csr) in
-    let e = Array.length t.csr.Csr.adj_node in
+    let e = Array.length t.csr.Csr.adj_slot in
     let s =
       { f_best = Array.make k 0; f_lead = Array.make k (-1);
         f_depth = Array.make k (-1); f_bit = Array.make k false;

@@ -106,18 +106,25 @@ module Engine = struct
     v.v_msgs.(v.len) <- m;
     v.len <- v.len + 1
 
+  type send_index = {
+    index_of_id : (int, int) Hashtbl.t;
+    adj_sorted : int array;  (* per-slot neighbor node indices, sorted *)
+  }
+
   type ('s, 'm) t = {
-    (* Topology compilation shared with the kernel backend: slot maps,
-       CSR adjacency, id lookup. *)
+    (* Topology compilation shared with the kernel backend: slot maps and
+       CSR adjacency. *)
     csr : Csr.t;
     n : int;
     ids : int array;
     active : int array;  (* slot -> node index *)
     slot : int array;  (* node index -> slot, or -1 *)
     adj_off : int array;
-    adj_node : int array;
+    adj_slot : int array;
     nbr_ids : int array array;  (* per slot: ids of the neighbors *)
-    index_of_id : (int, int) Hashtbl.t;
+    (* Only [Program.Send] resolves an id to a neighbor, so the id table
+       and the sorted adjacency are built on the first send. *)
+    send_index : send_index Lazy.t;
     (* Reusable per-run scratch, reset in place by [exec]. *)
     states : 's option array;
     live : int array;  (* compacted undecided/uncrashed slots *)
@@ -135,15 +142,30 @@ module Engine = struct
     ectx : Node_ctx.t array;
   }
 
-  let of_csr csr =
-    let { Csr.n; ids; active; slot; adj_off; adj_node; index_of_id; _ } =
-      csr
+  (* Id -> node index, and each slot's neighbor node indices sorted for
+     binary search. Ids were checked for duplicates by [Csr.compile]. *)
+  let build_send_index { Csr.ids; active; adj_off; adj_slot; _ } =
+    let index_of_id = Hashtbl.create ((2 * Array.length active) + 1) in
+    Array.iter (fun u -> Hashtbl.replace index_of_id ids.(u) u) active;
+    let nslots = Array.length active in
+    let adj_sorted =
+      Array.init adj_off.(nslots) (fun k -> active.(adj_slot.(k)))
     in
+    for s = 0 to nslots - 1 do
+      let lo = adj_off.(s) and len = adj_off.(s + 1) - adj_off.(s) in
+      let sub = Array.sub adj_sorted lo len in
+      Array.sort (fun (a : int) b -> compare a b) sub;
+      Array.blit sub 0 adj_sorted lo len
+    done;
+    { index_of_id; adj_sorted }
+
+  let of_csr csr =
+    let { Csr.n; ids; active; slot; adj_off; adj_slot; _ } = csr in
     let nslots = Array.length active in
     let nbr_ids =
       Array.init nslots (fun s ->
           Array.init (Csr.deg csr s)
-            (fun k -> ids.(adj_node.(adj_off.(s) + k))))
+            (fun k -> ids.(active.(adj_slot.(adj_off.(s) + k)))))
     in
     let blank_rng = Mis_util.Splitmix.of_seed 0 in
     let ectx =
@@ -154,7 +176,8 @@ module Engine = struct
         active
     in
     let e =
-      { csr; n; ids; active; slot; adj_off; adj_node; nbr_ids; index_of_id;
+      { csr; n; ids; active; slot; adj_off; adj_slot; nbr_ids;
+        send_index = lazy (build_send_index csr);
         ectx;
         states = Array.make nslots None;
         live = Array.make nslots 0;
@@ -173,8 +196,18 @@ module Engine = struct
     e
   let view e = Csr.view e.csr
 
-  (* Membership of node index [v] among the neighbors of slot [s]. *)
-  let is_neighbor e s v = Csr.is_neighbor e.csr s v
+  (* Membership of node index [v] among the neighbors of slot [s]:
+     binary search over the sorted adjacency, O(log deg). *)
+  let is_neighbor { adj_sorted; _ } e s v =
+    let lo = ref e.adj_off.(s) and hi = ref (e.adj_off.(s + 1) - 1) in
+    let found = ref false in
+    while (not !found) && !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      let x = adj_sorted.(mid) in
+      if x = v then found := true else if x < v then lo := mid + 1
+      else hi := mid - 1
+    done;
+    !found
 
   let exec ?max_rounds ?size_bits ?(faults = Fault.none) ?tracer ~rng_of e
       (program : ('s, 'm) Program.t) =
@@ -340,11 +373,12 @@ module Engine = struct
           match action with
           | Program.Broadcast m ->
             for k = e.adj_off.(s) to e.adj_off.(s + 1) - 1 do
-              deliver_to ~src:u ~sender_id e.adj_node.(k) m
+              deliver_to ~src:u ~sender_id active.(e.adj_slot.(k)) m
             done
           | Program.Send (target_id, m) -> begin
-            match Hashtbl.find_opt e.index_of_id target_id with
-            | Some v when is_neighbor e s v ->
+            let idx = Lazy.force e.send_index in
+            match Hashtbl.find_opt idx.index_of_id target_id with
+            | Some v when is_neighbor idx e s v ->
               deliver_to ~src:u ~sender_id v m
             | Some _ | None ->
               invalid_arg

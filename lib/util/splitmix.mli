@@ -2,8 +2,8 @@
 
     Every source of randomness in this repository flows through this module
     so that a single integer seed reproduces a whole experiment, and so that
-    the distributed and fast engines of each algorithm can draw identical
-    coins from identical keyed streams. *)
+    the message program and the fast path of each algorithm can draw
+    identical coins from identical keyed streams. *)
 
 type t
 (** A mutable pseudo-random stream. *)

@@ -22,13 +22,18 @@ let test_cfb_half () =
   let g = Helpers.random_tree ~seed:21 ~n:30 in
   let view = View.full g in
   let e =
-    Montecarlo.estimate (cfg 4000) view (fun ~seed ->
+    Montecarlo.estimate_ctx (cfg 4000)
+      ~ctx:(fun () -> Mis_sim.Runtime.Engine.create view)
+      view
+      (fun engine ~seed ->
         let p = Rand_plan.make seed in
-        let r =
-          Fairmis.Cntrl_fair_bipart.run view ~d_hat:30
-            ~bit_of:(fun u -> Rand_plan.node_bit p ~stage:1 ~node:u)
+        let o =
+          Mis_sim.Runtime.Engine.exec ~max_rounds:62 ~rng_of:Splitmix.of_seed
+            engine
+            (Fairmis.Cntrl_fair_bipart.program ~d_hat:30
+               ~bit_of:(fun u -> Rand_plan.node_bit p ~stage:1 ~node:u))
         in
-        r.Fairmis.Cntrl_fair_bipart.joined)
+        o.Mis_sim.Runtime.output)
   in
   Alcotest.(check bool) "min close to 1/2" true (Empirical.min_frequency e > 0.46);
   Alcotest.(check bool) "max close to 1/2" true (Empirical.max_frequency e < 0.54)

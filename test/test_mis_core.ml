@@ -1,4 +1,5 @@
-(* Tests for Mis checkers, Luby (both engines), and CntrlFairBipart. *)
+(* Tests for Mis checkers, Luby (kernel and message program), and
+   CntrlFairBipart. *)
 
 module Graph = Mis_graph.Graph
 module View = Mis_graph.View
@@ -127,9 +128,10 @@ let test_luby_phases_logarithmic () =
   (* Not a proof, just a regression guard: phases stay small. *)
   let g = Helpers.random_tree ~seed:5 ~n:2000 in
   let v = View.full g in
-  let _, stats = Luby.run_stats v (plan 4) in
-  if stats.Luby.phases > 30 then
-    Alcotest.failf "too many phases: %d" stats.Luby.phases
+  (* A phase spans 3 rounds; the last one ends at its round 1 or 2. *)
+  let rounds = (Luby.run_kernel v (plan 4)).Mis_sim.Kernel.rounds in
+  let phases = ((rounds - 1) / 3) + 1 in
+  if phases > 30 then Alcotest.failf "too many phases: %d" phases
 
 (* Luby's original degree-based variant (Algorithm A) *)
 
@@ -173,7 +175,16 @@ let test_luby_degree_phases () =
   if stats.Luby_degree.phases > 60 then
     Alcotest.failf "too many phases: %d" stats.Luby_degree.phases
 
-(* CntrlFairBipart *)
+(* CntrlFairBipart, run as its message program on a prebuilt engine. *)
+
+let cfb_exec engine ~d_hat ~bit_of =
+  Mis_sim.Runtime.Engine.exec ~max_rounds:((2 * d_hat) + 2)
+    ~rng_of:Splitmix.of_seed engine
+    (Cfb.program ~d_hat ~bit_of)
+
+let cfb_joined v ~d_hat ~bit_of =
+  (cfb_exec (Mis_sim.Runtime.Engine.create v) ~d_hat ~bit_of)
+    .Mis_sim.Runtime.output
 
 let prop_cfb_valid_when_dhat_large =
   Helpers.qtest "cfb: valid MIS when d_hat >= diameter"
@@ -183,62 +194,58 @@ let prop_cfb_valid_when_dhat_large =
       let v = View.full g in
       let d = Traverse.diameter_exact v in
       let p = plan seed in
-      let r =
-        Cfb.run v ~d_hat:(max 1 d)
-          ~bit_of:(fun u -> Rand_plan.node_bit p ~stage:1 ~node:u)
-      in
-      Mis.is_mis v r.Cfb.joined)
+      Mis.is_mis v
+        (cfb_joined v ~d_hat:(max 1 d)
+           ~bit_of:(fun u -> Rand_plan.node_bit p ~stage:1 ~node:u)))
 
 let test_cfb_levels_are_bfs_distances () =
   let g = Mis_workload.Trees.path 6 in
   let v = View.full g in
-  let r = Cfb.run v ~d_hat:6 ~bit_of:(fun _ -> false) in
-  (* Leader is the max index 5; levels are distances from it. *)
-  Alcotest.check Helpers.int_array "levels" [| 5; 4; 3; 2; 1; 0 |] r.Cfb.level;
-  Alcotest.check Helpers.int_array "leaders" [| 5; 5; 5; 5; 5; 5 |] r.Cfb.leader;
-  (* bit = 0: even levels join. *)
+  (* Leader is the max index 5; levels are distances from it, and with
+     bit = 0 the even levels join. *)
   Alcotest.check Helpers.bool_array "parity join"
-    [| false; true; false; true; false; true |] r.Cfb.joined
+    [| false; true; false; true; false; true |]
+    (cfb_joined v ~d_hat:6 ~bit_of:(fun _ -> false))
 
 let test_cfb_bit_flips_selection () =
   let g = Mis_workload.Trees.path 6 in
   let v = View.full g in
-  let r = Cfb.run v ~d_hat:6 ~bit_of:(fun _ -> true) in
   Alcotest.check Helpers.bool_array "odd levels join"
-    [| true; false; true; false; true; false |] r.Cfb.joined
+    [| true; false; true; false; true; false |]
+    (cfb_joined v ~d_hat:6 ~bit_of:(fun _ -> true))
 
 let test_cfb_isolated_always_joins () =
   let g = Graph.of_edges ~n:4 [ (0, 1) ] in
-  let v = View.full g in
-  let r = Cfb.run v ~d_hat:3 ~bit_of:(fun _ -> true) in
-  Alcotest.(check bool) "isolated 2 joins" true r.Cfb.joined.(2);
-  Alcotest.(check bool) "isolated 3 joins" true r.Cfb.joined.(3)
+  let joined = cfb_joined (View.full g) ~d_hat:3 ~bit_of:(fun _ -> true) in
+  Alcotest.(check bool) "isolated 2 joins" true joined.(2);
+  Alcotest.(check bool) "isolated 3 joins" true joined.(3)
 
 let test_cfb_d_hat_validation () =
-  let g = Mis_workload.Trees.path 3 in
   Alcotest.(check bool) "d_hat 0 rejected" true
-    (match Cfb.run (View.full g) ~d_hat:0 ~bit_of:(fun _ -> false) with
+    (match Cfb.program ~d_hat:0 ~bit_of:(fun _ -> false) with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let prop_cfb_fast_matches_distributed =
-  Helpers.qtest ~count:80 "cfb: fast engine = distributed engine (any d_hat)"
+(* One engine serves several d_hat values and must match a fresh
+   [run_distributed] each time: every node decides, at round 2 d_hat. *)
+let prop_cfb_engine_reuse =
+  Helpers.qtest ~count:80 "cfb: engine reuse = fresh run (any d_hat)"
     QCheck.(
       quad (int_range 1 25) (int_range 1 8) Helpers.arb_seed Helpers.arb_seed)
     (fun (n, d_hat, gseed, seed) ->
       let g = Helpers.random_graph ~seed:gseed ~n ~p:0.2 in
       let v = View.full g in
       let p = plan seed in
-      let bit_of u = Rand_plan.node_bit p ~stage:2 ~node:u in
-      let fast = Cfb.run v ~d_hat ~bit_of in
-      let prog = Cfb.program ~d_hat ~bit_of in
-      let outcome =
-        Mis_sim.Runtime.run ~max_rounds:((2 * d_hat) + 2)
-          ~rng_of:(fun u -> Rand_plan.node_stream p ~stage:2 ~node:u)
-          v prog
-      in
-      Array.for_all (fun b -> b) outcome.Mis_sim.Runtime.decided
-      && fast.Cfb.joined = outcome.Mis_sim.Runtime.output)
+      let engine = Mis_sim.Runtime.Engine.create v in
+      List.for_all
+        (fun d_hat ->
+          let bit_of u = Rand_plan.node_bit p ~stage:2 ~node:u in
+          let o = cfb_exec engine ~d_hat ~bit_of in
+          let fresh = Cfb.run_distributed v ~plan:p ~stage:2 ~d_hat in
+          Array.for_all Fun.id o.Mis_sim.Runtime.decided
+          && o.Mis_sim.Runtime.rounds = 2 * d_hat
+          && o.Mis_sim.Runtime.output = fresh.Mis_sim.Runtime.output)
+        [ d_hat; 1; d_hat + 3 ])
 
 let prop_cfb_fast_matches_distributed_on_cut_views =
   Helpers.qtest ~count:60 "cfb: engines agree on masked views"
@@ -250,28 +257,33 @@ let prop_cfb_fast_matches_distributed_on_cut_views =
       let edges = Array.init m (fun _ -> Splitmix.bool mask_rng) in
       let v = View.restrict ~edges g in
       let p = plan seed in
-      let bit_of u = Rand_plan.node_bit p ~stage:3 ~node:u in
       let d_hat = 3 in
-      let fast = Cfb.run v ~d_hat ~bit_of in
-      let outcome =
-        Mis_sim.Runtime.run ~max_rounds:((2 * d_hat) + 2)
-          ~rng_of:(fun u -> Rand_plan.node_stream p ~stage:3 ~node:u)
-          v
-          (Cfb.program ~d_hat ~bit_of)
+      let o =
+        cfb_exec (Mis_sim.Runtime.Engine.create v) ~d_hat
+          ~bit_of:(fun u -> Rand_plan.node_bit p ~stage:3 ~node:u)
       in
-      fast.Cfb.joined = outcome.Mis_sim.Runtime.output)
+      let fresh = Cfb.run_distributed v ~plan:p ~stage:3 ~d_hat in
+      Array.for_all Fun.id o.Mis_sim.Runtime.decided
+      && o.Mis_sim.Runtime.output = fresh.Mis_sim.Runtime.output)
 
 let test_cfb_underestimate_still_terminates () =
   (* d_hat too small: output exists (not necessarily an MIS). *)
   let g = Mis_workload.Trees.path 30 in
-  let v = View.full g in
-  let r = Cfb.run v ~d_hat:2 ~bit_of:(fun _ -> false) in
-  Alcotest.(check int) "rounds" 4 r.Cfb.rounds
+  let o =
+    cfb_exec (Mis_sim.Runtime.Engine.create (View.full g)) ~d_hat:2
+      ~bit_of:(fun _ -> false)
+  in
+  Alcotest.(check bool) "all decided" true
+    (Array.for_all Fun.id o.Mis_sim.Runtime.decided);
+  Alcotest.(check int) "rounds" 4 o.Mis_sim.Runtime.rounds
 
 let test_cfb_rounds () =
   let g = Mis_workload.Trees.path 5 in
-  let r = Cfb.run (View.full g) ~d_hat:7 ~bit_of:(fun _ -> false) in
-  Alcotest.(check int) "2 d_hat rounds" 14 r.Cfb.rounds
+  let o =
+    cfb_exec (Mis_sim.Runtime.Engine.create (View.full g)) ~d_hat:7
+      ~bit_of:(fun _ -> false)
+  in
+  Alcotest.(check int) "2 d_hat rounds" 14 o.Mis_sim.Runtime.rounds
 
 let suite =
   [ ( "mis.checkers",
@@ -306,7 +318,7 @@ let suite =
         Alcotest.test_case "isolated always joins" `Quick
           test_cfb_isolated_always_joins;
         Alcotest.test_case "d_hat validation" `Quick test_cfb_d_hat_validation;
-        prop_cfb_fast_matches_distributed;
+        prop_cfb_engine_reuse;
         prop_cfb_fast_matches_distributed_on_cut_views;
         Alcotest.test_case "underestimate terminates" `Quick
           test_cfb_underestimate_still_terminates;
