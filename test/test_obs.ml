@@ -41,6 +41,89 @@ let test_json_float_roundtrip () =
       Alcotest.(check (float 0.)) ("round-trip " ^ s) f (float_of_string s))
     [ 0.1; 1. /. 3.; 1e-7; 123456.789; Float.pi ]
 
+(* Parse results in a compact, exact notation (floats in hex). *)
+let rec json_repr = function
+  | Json.Null -> "null"
+  | Json.Bool b -> string_of_bool b
+  | Json.Int i -> "int " ^ string_of_int i
+  | Json.Float f -> Printf.sprintf "float %h" f
+  | Json.Str s -> Printf.sprintf "str %S" s
+  | Json.Arr items -> "[" ^ String.concat "; " (List.map json_repr items) ^ "]"
+  | Json.Obj fields ->
+    "{"
+    ^ String.concat "; "
+        (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (json_repr v)) fields)
+    ^ "}"
+
+let parse_repr s =
+  match Json.parse s with Ok v -> json_repr v | Error e -> "error " ^ e
+
+(* Values and error messages (with offsets) of [Json.parse] on number,
+   string and nesting edge cases, recorded before its fast paths were
+   added: the fast paths must not change any of them. *)
+let json_parse_golden =
+  [ ("-", "error offset 1: malformed number \"-\"");
+    ("-0", "int 0");
+    ("00012", "int 12");
+    ("12abc", "error offset 2: trailing input after value");
+    ("1e5", "float 0x1.86ap+16");
+    ("1-2", "error offset 3: malformed number \"1-2\"");
+    ("-12", "int -12");
+    ("1.5", "float 0x1.8p+0");
+    ("7 ", "int 7");
+    ("123456789012345678", "int 123456789012345678");
+    ("-123456789012345678", "int -123456789012345678");
+    ("999999999999999999", "int 999999999999999999");
+    ("1234567890123456789", "int 1234567890123456789");
+    ("-1234567890123456789", "int -1234567890123456789");
+    ("4611686018427387903", "int 4611686018427387903");
+    ("4611686018427387904", "float 0x1p+62");
+    ("-4611686018427387904", "int -4611686018427387904");
+    ("9999999999999999999", "float 0x1.158e460913dp+63");
+    ("1234567890123456789012345", "float 0x1.056e0f36a6444p+80");
+    ("-1234567890123456789012345", "float -0x1.056e0f36a6444p+80");
+    ("[1,]", "error offset 3: unexpected character ']'");
+    ("[1,2", "error offset 4: expected ',' or ']'");
+    ("[]", "[]");
+    (" [ 1 , -2 ] ", "[int 1; int -2]");
+    ("\"abc", "error offset 4: unterminated string");
+    ("\"ab\\\"c", "error offset 6: unterminated string");
+    ("\"a\\u12\"", "error offset 4: truncated \\u escape");
+    ("\"a\\u12", "error offset 4: truncated \\u escape");
+    ("\"a\\u12zz\"", "error offset 4: malformed \\u escape");
+    ("\"\\u00e9\\/\"", "str \"\\195\\169/\"");
+    ("\"ab\\ncd\"", "str \"ab\\ncd\"");
+    ("\"a\195\169b\"", "str \"a\\195\\169b\"");
+    ("\"tab\\tnl\\n\"", "str \"tab\\tnl\\n\"");
+    ("\"\"", "str \"\"");
+    ("\"plain\"", "str \"plain\"");
+    ("\"x\" y", "error offset 4: trailing input after value");
+    ("{\"a\":[1,{\"b\":[[],{}]},\"c\"],\"d\":{\"e\":null,\"f\":true}}",
+      "{\"a\": [int 1; {\"b\": [[]; {}]}; str \"c\"]; \"d\": {\"e\": null; \"f\": true}}");
+    ("{\"type\":\"node_join\",\"node\":3,\"edges\":[1,22,333]}",
+      "{\"type\": str \"node_join\"; \"node\": int 3; \"edges\": [int 1; int 22; int 333]}");
+    ("{\"type\":\"edge_insert\",\"u\":12,\"v\":7}",
+      "{\"type\": str \"edge_insert\"; \"u\": int 12; \"v\": int 7}");
+    ("{\"a\":1,}", "error offset 7: expected '\"'");
+    ("{\"a\" 1}", "error offset 5: expected ':'");
+    ("{1:2}", "error offset 1: expected '\"'");
+    ("[[[[1]]]]", "[[[[int 1]]]]");
+    ("tru", "error offset 0: expected true");
+    ("nul", "error offset 0: expected null");
+    ("+1", "error offset 0: unexpected character '+'");
+    (".5", "error offset 0: unexpected character '.'");
+    ("1.", "float 0x1p+0");
+    ("-x", "error offset 1: malformed number \"-\"");
+    ("", "error offset 0: unexpected end of input");
+    ("  ", "error offset 2: unexpected end of input") ]
+
+let test_json_parse_golden () =
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check string) (Printf.sprintf "parse %S" input) expected
+        (parse_repr input))
+    json_parse_golden
+
 (* --- Metrics ------------------------------------------------------------ *)
 
 let test_metrics_counter_gauge () =
@@ -466,6 +549,8 @@ let suite =
       [ Alcotest.test_case "json values" `Quick test_json_values;
         Alcotest.test_case "json float round-trip" `Quick
           test_json_float_roundtrip;
+        Alcotest.test_case "json parse golden table" `Quick
+          test_json_parse_golden;
         Alcotest.test_case "metrics counter/gauge" `Quick
           test_metrics_counter_gauge;
         Alcotest.test_case "metrics kind mismatch" `Quick
