@@ -4,11 +4,20 @@
 
     The static {!Mis_graph.Graph.t} is an immutable CSR — right for the
     batch simulator, wrong for a structure mutated by every churn event.
-    This module keeps per-node hash adjacency for O(1) edge updates and
+    This module keeps each slot's neighbours in a flat int vector and
     exports a {!to_view} snapshot (a real CSR under a node mask) whenever
     a component needs the static API: the invariant checker
     ({!Mis_graph.Check.is_surviving_mis} on the live view) and the
     full-recompute rung of the degradation ladder.
+
+    Costs, with [d(u)] the number of links at [u] (crashed ends
+    included): {!insert_edge} and {!mem_edge} scan the shorter of the
+    two lists, O(min(d(u), d(v))) plus an amortized O(1) push on each
+    end; {!delete_edge} is O(d(u) + d(v)), a scan plus a swap-remove on
+    each end; {!leave} is O(sum of d(v) over its neighbours); neighbour
+    iteration is O(d(u)). A vector doubles when full and halves once it
+    is at most a quarter full, and {!leave} frees it, so memory tracks
+    the current links rather than the densest moment of the stream.
 
     Semantics of the three slot states:
     - {b absent}: never joined, or left cleanly; the slot is reusable;

@@ -2,6 +2,7 @@ module Graph = Mis_graph.Graph
 module View = Mis_graph.View
 module Check = Mis_graph.Check
 module Runtime = Mis_sim.Runtime
+module Kernel = Mis_sim.Kernel
 module Trace = Mis_obs.Trace
 module Metrics = Mis_obs.Metrics
 module Prof = Mis_obs.Prof
@@ -17,16 +18,49 @@ type algorithm = {
     Mis_graph.View.t -> ids:int array -> seed:int -> Mis_sim.Runtime.outcome;
 }
 
+(* A kernel outcome in the engine's outcome type: the per-round
+   decision counts come from [decide_round], so [round_stats] keeps its
+   length ([rounds + 1]) and its sums; the transport counters are 0,
+   since no message is sent. *)
+let outcome_of_kernel (k : Kernel.outcome) =
+  let n = Array.length k.Kernel.output in
+  let decided_in = Array.make (k.Kernel.rounds + 1) 0 in
+  Array.iter
+    (fun r -> if r >= 0 then decided_in.(r) <- decided_in.(r) + 1)
+    k.Kernel.decide_round;
+  { Runtime.output = k.Kernel.output;
+    decided = k.Kernel.decided;
+    rounds = k.Kernel.rounds;
+    messages = 0;
+    max_message_bits = 0;
+    dropped = 0;
+    delayed = 0;
+    in_flight = 0;
+    crashed = Array.make n false;
+    round_stats =
+      Array.map
+        (fun d ->
+          { Runtime.rs_messages = 0; rs_dropped = 0; rs_delayed = 0;
+            rs_decided = d; rs_crashed = 0 })
+        decided_in }
+
+(* Only the message engine traces, so a traced run takes it; every other
+   run goes to the kernel, which decides bit-identically. *)
 let luby =
   { alg_name = "luby";
     alg_run =
       (fun ?tracer view ~ids ~seed ->
         let plan = Rand_plan.make seed in
         let stage = Rand_plan.Stage.luby_main in
-        Runtime.run ~ids ?tracer
-          ~rng_of:(fun i -> Rand_plan.node_stream plan ~stage ~node:ids.(i))
-          view
-          (Fairmis.Luby.program plan ~stage)) }
+        match tracer with
+        | None ->
+          outcome_of_kernel
+            (Fairmis.Luby.run_kernel_on ~stage (Kernel.create ~ids view) plan)
+        | Some tracer ->
+          Runtime.run ~ids ~tracer
+            ~rng_of:(fun i -> Rand_plan.node_stream plan ~stage ~node:ids.(i))
+            view
+            (Fairmis.Luby.program plan ~stage)) }
 
 type rung = Radius of int | Full_recompute
 
@@ -445,7 +479,8 @@ let apply_batch t events =
       List.iter
         (fun ev ->
           let a, s = apply_event t ~seed_node ev in
-          mcount t (spf "dyn.events.%s" (Event.kind ev)) 1;
+          if t.cfg.metrics <> None then
+            mcount t ("dyn.events." ^ Event.kind ev) 1;
           applied := !applied + a;
           skipped := !skipped + s)
         events;
@@ -466,6 +501,7 @@ let apply_batch t events =
       mcount t "dyn.flips" !flips;
       mobserve t "dyn.repair.dirty_nodes" result.a_dirty;
       mobserve t "dyn.repair.region_nodes" (Array.length result.a_region);
+      mobserve t "dyn.repair.rounds" result.a_rounds;
       (* Critical-path stats of the accepted attempt (config.critpath).
          On the fault-free region runs the path length equals the repair
          round count; the value of the analysis is the delivery/local

@@ -16,11 +16,12 @@
     may lose their cover). Members outside the dirty set are {e frozen}:
     dirty nodes adjacent to a frozen member are covered and drop out;
     the rest form the {e region}, an induced subview handed to the
-    configured program via {!Mis_sim.Runtime} (the compiled
-    {!Mis_sim.Runtime.Engine} under the hood) with the {e global} node
-    numbers as program ids, so a node's coins do not depend on how the
-    region was carved. The union of the frozen part and the region's MIS
-    is an MIS of the whole live graph.
+    configured algorithm with the {e global} node numbers as ids, so a
+    node's coins do not depend on how the region was carved. The default
+    {!luby} runs an untraced region on a {!Mis_sim.Kernel} and a traced
+    one ([config.critpath]) on the message engine; both commit the same
+    repair. The union of the frozen part and the region's MIS is an MIS
+    of the whole live graph.
 
     {b Degradation ladder.} An attempt fails when it exceeds the
     per-batch timeout or leaves region nodes undecided; the maintainer
@@ -42,7 +43,16 @@ type algorithm = {
 }
 
 val luby : algorithm
-(** {!Fairmis.Luby.program} through the simulator runtime. *)
+(** Luby's algorithm, keyed by [ids]. Without a tracer it runs on a
+    {!Mis_sim.Kernel} built with [Kernel.create ~ids] (which keeps the
+    duplicate-id check); with one it runs {!Fairmis.Luby.program} on the
+    message engine ({!Mis_sim.Runtime.run}), the only path that traces.
+    Both give the same [output], [decided], [rounds] and per-round
+    [rs_decided]. A kernel outcome reports its transport counters
+    ([messages], [dropped], [delayed], [in_flight], [max_message_bits]
+    and the per-round [rs_messages], [rs_dropped], [rs_delayed]) as 0,
+    [crashed] all-[false], and is not folded into
+    {!Mis_sim.Runtime.totals}. *)
 
 type rung =
   | Radius of int  (** Repair the dirty set widened to this BFS radius
@@ -65,7 +75,9 @@ type config = {
   clock : unit -> float;  (** Injectable for fault-injected timeout tests. *)
   seed : int;  (** Base seed; attempt coins derive from (seed, batch,
                    attempt). *)
-  metrics : Mis_obs.Metrics.t option;  (** [dyn.*] counters/histograms. *)
+  metrics : Mis_obs.Metrics.t option;
+      (** [dyn.*] counters/histograms; [dyn.repair.rounds] observes the
+          rounds of every accepted repair, whichever backend ran it. *)
   decisions : Mis_obs.Trace.sink;
       (** Receives one [Decide {round = batch; node; in_mis}] per
           re-decided node of each accepted batch. *)

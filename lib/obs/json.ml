@@ -78,7 +78,7 @@ let parse s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  let at c = !pos < n && s.[!pos] = c in
   let skip_ws () =
     while
       !pos < n
@@ -88,7 +88,7 @@ let parse s =
     done
   in
   let expect c =
-    if !pos < n && s.[!pos] = c then incr pos
+    if at c then incr pos
     else fail (Printf.sprintf "expected %C" c)
   in
   let literal lit v =
@@ -99,7 +99,7 @@ let parse s =
     end
     else fail (Printf.sprintf "expected %s" lit)
   in
-  let parse_string () =
+  let parse_escaped () =
     expect '"';
     let buf = Buffer.create 16 in
     let rec go () =
@@ -137,9 +137,25 @@ let parse s =
     in
     go ()
   in
-  let parse_number () =
+  (* Escape-free strings, the common case, are one [String.sub]; a
+     string with an escape, or an unterminated one, goes through the
+     decoding loop from its opening quote. *)
+  let rec plain_end i =
+    if i >= n then -1
+    else match s.[i] with '"' -> i | '\\' -> -1 | _ -> plain_end (i + 1)
+  in
+  let parse_string () =
+    let stop = if at '"' then plain_end (!pos + 1) else -1 in
+    if stop < 0 then parse_escaped ()
+    else begin
+      let str = String.sub s (!pos + 1) (stop - !pos - 1) in
+      pos := stop + 1;
+      str
+    end
+  in
+  let general_number () =
     let start = !pos in
-    if peek () = Some '-' then incr pos;
+    if at '-' then incr pos;
     let is_num_char c =
       match c with
       | '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true
@@ -165,19 +181,41 @@ let parse s =
         | Some f -> Float f
         | None -> fail (Printf.sprintf "malformed number %S" lit))
   in
+  (* A plain decimal integer of at most 18 digits cannot overflow, so it
+     is read in place; a fraction, an exponent, a wider or a malformed
+     literal goes through [general_number] from its first character. *)
+  let parse_number () =
+    let first = if at '-' then !pos + 1 else !pos in
+    let i = ref first and acc = ref 0 in
+    while !i < n && (match s.[!i] with '0' .. '9' -> true | _ -> false) do
+      acc := (10 * !acc) + (Char.code s.[!i] - Char.code '0');
+      incr i
+    done;
+    let digits = !i - first in
+    let int_ends =
+      !i >= n
+      || match s.[!i] with '.' | 'e' | 'E' | '+' | '-' -> false | _ -> true
+    in
+    if digits >= 1 && digits <= 18 && int_ends then begin
+      let neg = first > !pos in
+      pos := !i;
+      Int (if neg then - !acc else !acc)
+    end
+    else general_number ()
+  in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some '[' ->
+    if !pos >= n then fail "unexpected end of input";
+    match s.[!pos] with
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '-' | '0' .. '9' -> parse_number ()
+    | '[' ->
       incr pos;
       skip_ws ();
-      if peek () = Some ']' then begin
+      if at ']' then begin
         incr pos;
         Arr []
       end
@@ -185,21 +223,21 @@ let parse s =
         let items = ref [ parse_value () ] in
         let rec go () =
           skip_ws ();
-          match peek () with
-          | Some ',' ->
+          if at ',' then begin
             incr pos;
             items := parse_value () :: !items;
             go ()
-          | Some ']' -> incr pos
-          | _ -> fail "expected ',' or ']'"
+          end
+          else if at ']' then incr pos
+          else fail "expected ',' or ']'"
         in
         go ();
         Arr (List.rev !items)
       end
-    | Some '{' ->
+    | '{' ->
       incr pos;
       skip_ws ();
-      if peek () = Some '}' then begin
+      if at '}' then begin
         incr pos;
         Obj []
       end
@@ -215,18 +253,18 @@ let parse s =
         let fields = ref [ field () ] in
         let rec go () =
           skip_ws ();
-          match peek () with
-          | Some ',' ->
+          if at ',' then begin
             incr pos;
             fields := field () :: !fields;
             go ()
-          | Some '}' -> incr pos
-          | _ -> fail "expected ',' or '}'"
+          end
+          else if at '}' then incr pos
+          else fail "expected ',' or '}'"
         in
         go ();
         Obj (List.rev !fields)
       end
-    | Some c -> fail (Printf.sprintf "unexpected character %C" c)
+    | c -> fail (Printf.sprintf "unexpected character %C" c)
   in
   try
     let v = parse_value () in

@@ -62,33 +62,64 @@ let arb_case =
       quad (int_range 0 6) (int_range 4 24) (int_range 0 1000)
         (int_range 0 1000))
 
-(* One kernel value serves every seed in sequence: scratch reset between
+(* Caller-supplied ids: an injective, increasing pick from a universe a
+   few times larger than the view, the way a repair region names its
+   nodes by their global slot numbers. Coins are keyed by id, so both
+   backends must draw them through the same map. *)
+let sparse_ids ~n ~seed =
+  let rng = Mis_util.Splitmix.of_seed (seed + 101) in
+  let next = ref (Mis_util.Splitmix.int rng 50) in
+  Array.init n (fun _ ->
+      let id = !next in
+      next := id + 1 + Mis_util.Splitmix.int rng 4;
+      id)
+
+(* Each case runs under the default (index) ids and under sparse ids.
+   One kernel value serves every seed in sequence: scratch reset between
    runs is on the line, exactly like engine reuse. *)
+let for_all_ids view ~pseed check =
+  List.for_all
+    (fun ids ->
+      check (Kernel.create ?ids view) (Runtime.Engine.create ?ids view))
+    [ None; Some (sparse_ids ~n:(View.n view) ~seed:pseed) ]
+
 let prop_kernel_luby (gk, n, gseed, pseed) =
   let view = view_of gk ~n ~gseed in
-  let kernel = Kernel.create view in
-  let engine = Runtime.Engine.create view in
-  List.for_all
-    (fun seed ->
-      let plan = Rand_plan.make seed in
-      let sink, evs = Trace.memory () in
-      let o = Fairmis.Luby.run_distributed_on ~tracer:sink engine plan in
-      let k = Fairmis.Luby.run_kernel_on kernel plan in
-      outcome_matches ~name:"kernel-luby" view o (evs ()) k)
-    [ pseed; pseed + 1; pseed + 2 ]
+  for_all_ids view ~pseed (fun kernel engine ->
+      List.for_all
+        (fun seed ->
+          let plan = Rand_plan.make seed in
+          let sink, evs = Trace.memory () in
+          let o = Fairmis.Luby.run_distributed_on ~tracer:sink engine plan in
+          let k = Fairmis.Luby.run_kernel_on kernel plan in
+          outcome_matches ~name:"kernel-luby" view o (evs ()) k)
+        [ pseed; pseed + 1; pseed + 2 ])
 
 let prop_kernel_fair_tree (gk, n, gseed, pseed) =
   let view = view_of gk ~n ~gseed in
-  let kernel = Kernel.create view in
-  let engine = Runtime.Engine.create view in
-  List.for_all
-    (fun seed ->
-      let plan = Rand_plan.make seed in
-      let sink, evs = Trace.memory () in
-      let o = Fairmis.Fair_tree_distributed.run_on ~tracer:sink engine plan in
-      let k = Fairmis.Fair_tree_distributed.run_kernel_on kernel plan in
-      outcome_matches ~name:"kernel-fairtree" view o (evs ()) k)
-    [ pseed; pseed + 1 ]
+  for_all_ids view ~pseed (fun kernel engine ->
+      List.for_all
+        (fun seed ->
+          let plan = Rand_plan.make seed in
+          let sink, evs = Trace.memory () in
+          let o =
+            Fairmis.Fair_tree_distributed.run_on ~tracer:sink engine plan
+          in
+          let k = Fairmis.Fair_tree_distributed.run_kernel_on kernel plan in
+          outcome_matches ~name:"kernel-fairtree" view o (evs ()) k)
+        [ pseed; pseed + 1 ])
+
+(* Sparse ids must change the coins: otherwise the properties above
+   would hold without the id map reaching the draws. *)
+let test_sparse_ids_reach_the_coins () =
+  let view = View.full (Helpers.random_tree ~seed:3 ~n:40) in
+  let ids = sparse_ids ~n:40 ~seed:7 in
+  let plan = Rand_plan.make 11 in
+  let run ?ids () =
+    (Fairmis.Luby.run_kernel_on (Kernel.create ?ids view) plan).Kernel.output
+  in
+  Alcotest.(check bool) "sparse ids draw other coins" false
+    (run () = run ~ids ())
 
 (* A tiny gamma keeps the floods unconverged on larger graphs, forcing
    the cutoff/partial-propagation paths to agree too. *)
@@ -277,6 +308,8 @@ let suite =
           prop_kernel_luby_oracle;
         Helpers.qtest ~count:40 "kernel luby = list oracle (masked)"
           arb_case prop_kernel_luby_oracle_masked;
+        Alcotest.test_case "sparse ids reach the coins" `Quick
+          test_sparse_ids_reach_the_coins;
         Alcotest.test_case "trials kernel joins, domains 1 and 4" `Quick
           test_trials_kernel_domain_invariant;
         Alcotest.test_case "measure on both backends" `Quick
