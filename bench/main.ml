@@ -211,49 +211,82 @@ let run_pool_scaling () =
           trials,
         Some (ns_per_trial spawn4) ) ]
 
-(* engine/xl rows: single protocol runs at n = 10^5 and 10^6 on the
-   compiled engine over direct-CSR attachment trees — the scale tier
-   that motivated the pool (per-measurement spawn or rebuild overhead
-   would drown the signal here). Build and run are reported separately:
-   the build row prices `of_parents` + `Engine.create` (all O(n + m)
-   array fills), the reuse row one full Luby execution on the prebuilt
-   engine. Single-shot wall clock, best of 2 — at eight-plus seconds per
-   10^6-node run, Bechamel's sampling would take minutes for no extra
-   signal. `bench-diff --only engine/xl` hard-gates all four rows. *)
+(* engine/xl and kernel/xl rows: single protocol runs at n = 10^5 and
+   10^6 over direct-CSR attachment trees — the scale tier that motivated
+   the pool (per-measurement spawn or rebuild overhead would drown the
+   signal here). The engine's build row prices `Engine.create` (all
+   O(n + m) array fills), its reuse row one full Luby execution on the
+   prebuilt engine; the kernel rows time one Luby and one FairTree call
+   on a prebuilt kernel. Single-shot wall clock,
+   best of 2 — at eight-plus seconds per 10^6-node engine run,
+   Bechamel's sampling would take minutes for no extra signal.
+   `bench-diff --only engine/xl` hard-gates the four engine rows; the
+   kernel rows are history only. *)
 let run_xl_bench () =
-  print_endline "== engine/xl: 1e5 / 1e6-node single runs on the compiled engine";
-  let row n =
-    let g = Mis_workload.Trees.random_attachment_xl (Mis_util.Splitmix.of_seed 97) ~n in
-    let t0 = Unix.gettimeofday () in
-    let eng = Mis_sim.Runtime.Engine.create (View.full g) in
-    let build = Unix.gettimeofday () -. t0 in
+  print_endline "== engine/xl + kernel/xl: 1e5 / 1e6-node single runs";
+  let best_of_2 run =
     let best = ref infinity and rounds = ref 0 in
     for k = 1 to 2 do
       let t0 = Unix.gettimeofday () in
-      let o = Fairmis.Luby.run_distributed_on eng (Rand_plan.make k) in
+      let r = run (Rand_plan.make k) in
       let dt = Unix.gettimeofday () -. t0 in
-      rounds := o.Mis_sim.Runtime.rounds;
+      rounds := r;
       if dt < !best then best := dt
     done;
-    ( n,
-      build,
-      !best,
-      !rounds,
-      [ (Printf.sprintf "engine/xl/build-n%d" n, Some (build *. 1e9));
-        (Printf.sprintf "engine/xl/luby-n%d-reuse" n, Some (!best *. 1e9)) ] )
+    (!best, !rounds)
+  in
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let x = f () in
+    (x, Unix.gettimeofday () -. t0)
+  in
+  let row n =
+    let g = Mis_workload.Trees.random_attachment_xl (Mis_util.Splitmix.of_seed 97) ~n in
+    (* The engine is dropped before the kernel is built, so the two
+       never share the heap at 10^6. *)
+    let eng_build, (eng_run, eng_rounds) =
+      let eng, build =
+        timed (fun () -> Mis_sim.Runtime.Engine.create (View.full g))
+      in
+      ( build,
+        best_of_2 (fun plan ->
+            (Fairmis.Luby.run_distributed_on eng plan).Mis_sim.Runtime.rounds) )
+    in
+    Gc.full_major ();
+    let kernel, k_build =
+      timed (fun () -> Mis_sim.Kernel.create (View.full g))
+    in
+    let k_luby, k_luby_rounds =
+      best_of_2 (fun plan ->
+          (Fairmis.Luby.run_kernel_on kernel plan).Mis_sim.Kernel.rounds)
+    in
+    let k_fair, k_fair_rounds =
+      best_of_2 (fun plan ->
+          (Fairmis.Fair_tree.run_kernel_on kernel plan).Mis_sim.Kernel.rounds)
+    in
+    ( [ ("engine luby", n, eng_build, eng_run, eng_rounds);
+        ("kernel luby", n, k_build, k_luby, k_luby_rounds);
+        ("kernel fairtree", n, k_build, k_fair, k_fair_rounds) ],
+      [ (Printf.sprintf "engine/xl/build-n%d" n, Some (eng_build *. 1e9));
+        (Printf.sprintf "engine/xl/luby-n%d-reuse" n, Some (eng_run *. 1e9));
+        (Printf.sprintf "kernel/xl/luby-n%d" n, Some (k_luby *. 1e9));
+        (Printf.sprintf "kernel/xl/fairtree-n%d" n, Some (k_fair *. 1e9)) ] )
   in
   let rows = List.map row [ 100_000; 1_000_000 ] in
   Mis_exp.Table.print
-    ~header:[ "n"; "build s"; "run s"; "rounds"; "ns/node/round" ]
-    (List.map
-       (fun (n, build, run, rounds, _) ->
-         [ string_of_int n; Printf.sprintf "%.3f" build;
-           Printf.sprintf "%.3f" run; string_of_int rounds;
-           Printf.sprintf "%.1f"
-             (run *. 1e9 /. float_of_int (n * max 1 rounds)) ])
+    ~header:[ "workload"; "n"; "build s"; "run s"; "rounds"; "ns/node/round" ]
+    (List.concat_map
+       (fun (lines, _) ->
+         List.map
+           (fun (name, n, build, run, rounds) ->
+             [ name; string_of_int n; Printf.sprintf "%.3f" build;
+               Printf.sprintf "%.3f" run; string_of_int rounds;
+               Printf.sprintf "%.1f"
+                 (run *. 1e9 /. float_of_int (n * max 1 rounds)) ])
+           lines)
        rows);
   print_newline ();
-  List.concat_map (fun (_, _, _, _, r) -> r) rows
+  List.concat_map snd rows
 
 (* Compiled-engine rows: the same simulator workload through the
    per-trial-rebuild path (`Runtime.run`, which compiles the view every
@@ -426,33 +459,48 @@ let run_kernel_bench () =
 
 (* Coin-layer rows: the keyed Rand_plan draws the kernel makes per node
    and edge — Luby's per-round values, FairTree's stage bits and its
-   edge-cut coin — in ns per draw (Bechamel) and minor words per draw
-   (a 10^6-draw loop). Words should read 0: the draws hash on unboxed
-   locals, so anything else means a boxed int64, key list or stream
-   record is back on the hot path. History rows carry the ns. *)
+   edge-cut coin — and the hoisted drawers ([node_values], [node_bits],
+   [edge_bits]) the kernel actually calls, in ns per draw (Bechamel) and
+   minor words per draw (a 10^6-draw loop). Words should read 0: the
+   draws hash on unboxed locals, so anything else means a boxed int64,
+   key list, stream record or per-draw closure is back on the hot path.
+   The hoisted/keyed ratio is measured in this process. History rows
+   carry the ns. *)
 let run_coins_bench () =
-  print_endline "== layer/coins: keyed Rand_plan draws";
+  print_endline "== layer/coins: keyed Rand_plan draws and hoisted drawers";
   let plan = Rand_plan.make 7 in
-  let draws =
-    [ ( "node_value",
-        fun i ->
-          ignore
-            (Sys.opaque_identity
-               (Rand_plan.node_value plan ~stage:Rand_plan.Stage.luby_main
-                  ~round:(i land 7) ~node:i)) );
-      ( "node_bit",
-        fun i ->
-          ignore
-            (Sys.opaque_identity
-               (Rand_plan.node_bit plan ~stage:Rand_plan.Stage.fair_tree_s1
-                  ~node:i)) );
-      ( "edge_bit",
-        fun i ->
-          ignore
-            (Sys.opaque_identity
-               (Rand_plan.edge_bit plan ~stage:Rand_plan.Stage.fair_tree_cut
-                  ~u:(i lxor 1) ~v:i)) ) ]
+  let luby = Rand_plan.Stage.luby_main and s1 = Rand_plan.Stage.fair_tree_s1 in
+  let cut = Rand_plan.Stage.fair_tree_cut in
+  let values = Rand_plan.node_values plan ~stage:luby in
+  let bits = Rand_plan.node_bits plan ~stage:s1 in
+  let edges = Rand_plan.edge_bits plan ~stage:cut in
+  (* (keyed, hoisted) pairs of the same draw. *)
+  let pairs =
+    [ ( ( "node_value",
+          fun i ->
+            ignore
+              (Sys.opaque_identity
+                 (Rand_plan.node_value plan ~stage:luby ~round:(i land 7)
+                    ~node:i)) ),
+        ( "node_values",
+          fun i ->
+            ignore (Sys.opaque_identity (values ~round:(i land 7) ~id:i)) ) );
+      ( ( "node_bit",
+          fun i ->
+            ignore
+              (Sys.opaque_identity (Rand_plan.node_bit plan ~stage:s1 ~node:i))
+        ),
+        ("node_bits", fun i -> ignore (Sys.opaque_identity (bits i))) );
+      ( ( "edge_bit",
+          fun i ->
+            ignore
+              (Sys.opaque_identity
+                 (Rand_plan.edge_bit plan ~stage:cut ~u:(i lxor 1) ~v:i)) ),
+        ( "edge_bits",
+          fun i -> ignore (Sys.opaque_identity (edges ~u:(i lxor 1) ~v:i)) ) )
+    ]
   in
+  let draws = List.map fst pairs @ List.map snd pairs in
   let words_per_draw draw =
     let k = 1_000_000 in
     let w0 = Gc.minor_words () in
@@ -468,14 +516,23 @@ let run_coins_bench () =
            stage ("layer/coins/" ^ name) (fun next_seed -> draw (next_seed ())))
          draws)
   in
+  let ns_of name =
+    List.assoc_opt ("layer/coins/" ^ name) estimates |> Option.join
+  in
+  let fmt = function Some v -> Printf.sprintf "%.1f" v | None -> "?" in
   Mis_exp.Table.print
     ~header:[ "workload"; "ns/draw"; "minor words/draw" ]
     (List.map2
        (fun (name, ns) (_, draw) ->
-         [ name;
-           (match ns with Some v -> Printf.sprintf "%.1f" v | None -> "?");
-           Printf.sprintf "%.3f" (words_per_draw draw) ])
+         [ name; fmt ns; Printf.sprintf "%.3f" (words_per_draw draw) ])
        estimates draws);
+  List.iter
+    (fun ((keyed, _), (hoisted, _)) ->
+      match (ns_of keyed, ns_of hoisted) with
+      | Some k, Some h when k > 0. ->
+        Printf.printf "hoisted/keyed %s/%s: %.2f\n" hoisted keyed (h /. k)
+      | _ -> ())
+    pairs;
   print_newline ();
   estimates
 
@@ -710,8 +767,8 @@ let () =
     print_endline "pool       1000-trial fairness: worker pool vs spawn engine";
     print_endline "engine     compiled-engine reuse vs per-trial rebuild";
     print_endline "kernel     data-parallel sweeps vs the message engine";
-    print_endline "xl         single runs at n = 1e5 / 1e6 on the compiled engine";
-    print_endline "coins      ns and minor words per keyed Rand_plan draw";
+    print_endline "xl         single runs at n = 1e5 / 1e6 on the engine and the kernel";
+    print_endline "coins      ns and minor words per Rand_plan draw, keyed and hoisted";
     print_endline "dyn        incremental repair vs full recompute per batch";
     print_endline "telemetry  engine hot path with live telemetry off vs on";
     print_endline "causal     trace replay vs replay + critical-path analysis"

@@ -76,10 +76,7 @@ let run_distributed_on ?(stage = default_stage) ?tracer engine plan =
     engine prog
 
 let run_kernel_on ?(stage = default_stage) kernel plan =
-  Mis_sim.Kernel.luby
-    ~value_of:(fun ~round ~id ->
-      Rand_plan.node_value plan ~stage ~round ~node:id)
-    kernel
+  Mis_sim.Kernel.luby ~value_of:(Rand_plan.node_values plan ~stage) kernel
 
 let run_kernel ?stage view plan =
   run_kernel_on ?stage (Mis_sim.Kernel.create view) plan

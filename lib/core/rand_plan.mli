@@ -47,6 +47,23 @@ val node_value : t -> stage:int -> round:int -> node:int -> int
 (** A fresh uniform 62-bit value per (stage, round, node): Luby's
     per-round random priorities. *)
 
+(** {2 Hoisted drawers}
+
+    [node_bits t ~stage], [edge_bits t ~stage] and [node_values t ~stage]
+    mix the constant [\[stage; tag\]] part of the key once and return a
+    drawer over the rest, keyed by program id like the
+    {!Mis_sim.Kernel} coin closures. A drawer returns {e the same bits}
+    as the keyed draw above for every argument — [node_bits t ~stage id
+    = node_bit t ~stage ~node:id], [edge_bits t ~stage ~u ~v = edge_bit
+    t ~stage ~u ~v] (so it is symmetric in [u]/[v] too) and [node_values
+    t ~stage ~round ~id = node_value t ~stage ~round ~node:id] — at two
+    fewer mixes per draw and no allocation per draw. Building a drawer
+    allocates its closure: build one per stage and run, not per draw. *)
+
+val node_bits : t -> stage:int -> int -> bool
+val edge_bits : t -> stage:int -> u:int -> v:int -> bool
+val node_values : t -> stage:int -> round:int -> id:int -> int
+
 val node_int : t -> stage:int -> node:int -> bound:int -> int
 (** Uniform in [\[0, bound)] per (stage, node). *)
 

@@ -29,6 +29,10 @@ let check_ids view ids active =
   let seen = Hashtbl.create ((2 * Array.length active) + 1) in
   Array.iter
     (fun u ->
+      (* The FairTree stages take a negative lead as "no leader yet". *)
+      if ids.(u) < 0 then
+        invalid_arg
+          (Printf.sprintf "Runtime.run: negative id %d at node %d" ids.(u) u);
       if Hashtbl.mem seen ids.(u) then invalid_arg "Runtime.run: duplicate ids";
       Hashtbl.add seen ids.(u) ())
     active

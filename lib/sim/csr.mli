@@ -27,8 +27,9 @@ val compile : ?ids:int array -> Mis_graph.View.t -> t
     identity). Supplied ids are checked once, here.
 
     @raise Invalid_argument with the messages documented under
-    {!Runtime.run} when [ids] has the wrong length or assigns duplicate
-    ids to active nodes. *)
+    {!Runtime.run} when [ids] has the wrong length, assigns a negative id
+    to an active node (the message names the node and the id), or
+    assigns duplicate ids to active nodes. *)
 
 val view : t -> Mis_graph.View.t
 val nslots : t -> int

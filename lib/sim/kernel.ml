@@ -20,7 +20,13 @@ module Prof = Mis_obs.Prof
      lead), so the same staging argument applies;
    - an empty frontier is a fixpoint, so breaking early is equivalent to
      running the remaining no-op rounds — but a stage never runs *more*
-     than its [gamma] rounds, because the flood may not have converged. *)
+     than its [gamma] rounds, because the flood may not have converged.
+
+   The sweeps are memory-bound at scale, so the scratch is laid out for
+   cache density: every mask is a [Bytes.t] with one byte per slot (or
+   per adjacency entry for [f_allowed]), an eighth of a [bool array],
+   and [slot_id] holds each slot's program id so a neighbor's id is one
+   load from its slot instead of two ([ids.(active.(s))]). *)
 
 type outcome = {
   output : bool array;
@@ -35,50 +41,59 @@ let ceil_log2 n =
 
 let default_max_rounds n = 64 + (64 * ceil_log2 (max n 2))
 
-(* Scratch for the Luby phase loop, cached across runs. All arrays are
-   indexed by slot; [l_front]/[l_winners] hold slot lists. *)
+(* Byte-mask access: a byte is set when it is non-zero. *)
+let[@inline] mget m i = Bytes.get m i <> '\000'
+let[@inline] mset m i b = Bytes.set m i (if b then '\001' else '\000')
+
+(* Scratch for the Luby phase loop, cached across runs. Everything is
+   indexed by slot; [l_alive] is a byte mask; [l_front]/[l_winners] hold
+   slot lists. *)
 type luby_scratch = {
   l_value : int array;
-  l_alive : bool array;
+  l_alive : Bytes.t;
   l_front : int array;
   l_winners : int array;
 }
 
 (* Scratch for the FairTree stage pipeline. [f_allowed] is indexed by
-   CSR adjacency entry; everything else by slot. [f_obest] /
-   [f_olead]/[f_odepth]/[f_obit] stage the current round's incoming
-   offers ([f_inext] marks staged slots, reset on apply, [f_touch]
-   lists them). *)
+   CSR adjacency entry; everything else by slot. The [Bytes.t] fields
+   are byte masks. [f_obest] / [f_olead]/[f_odepth]/[f_obit] stage the
+   current round's incoming offers ([f_inext] marks staged slots, reset
+   on apply, [f_touch] lists them). *)
 type ft_scratch = {
   f_best : int array;
   f_lead : int array;
   f_depth : int array;
-  f_bit : bool array;
+  f_bit : Bytes.t;
   f_obest : int array;
   f_olead : int array;
   f_odepth : int array;
-  f_obit : bool array;
-  f_inext : bool array;
+  f_obit : Bytes.t;
+  f_inext : Bytes.t;
   f_touch : int array;
   f_front : int array;
   f_front2 : int array;
-  f_allowed : bool array;
-  f_all : bool array;  (* constant all-true participant mask *)
+  f_allowed : Bytes.t;
+  f_all : Bytes.t;  (* constant all-set participant mask *)
   f_pdeg : int array;
-  f_i1 : bool array;
-  f_i2 : bool array;
-  f_unc : bool array;
-  f_i3 : bool array;
-  f_i4 : bool array;
+  f_i1 : Bytes.t;
+  f_i2 : Bytes.t;
+  f_unc : Bytes.t;
+  f_i3 : Bytes.t;
+  f_i4 : Bytes.t;
 }
 
 type t = {
   csr : Csr.t;
+  slot_id : int array;  (* slot -> program id, [ids.(active.(s))] *)
   mutable luby_scr : luby_scratch option;
   mutable ft_scr : ft_scratch option;
 }
 
-let of_csr csr = { csr; luby_scr = None; ft_scr = None }
+let of_csr csr =
+  let ids = csr.Csr.ids in
+  { csr; slot_id = Array.map (fun u -> ids.(u)) csr.Csr.active;
+    luby_scr = None; ft_scr = None }
 let create ?ids view = of_csr (Csr.compile ?ids view)
 let view t = Csr.view t.csr
 let csr t = t.csr
@@ -89,7 +104,7 @@ let luby_scratch t =
   | None ->
     let k = max 1 (Csr.nslots t.csr) in
     let s =
-      { l_value = Array.make k 0; l_alive = Array.make k false;
+      { l_value = Array.make k 0; l_alive = Bytes.make k '\000';
         l_front = Array.make k 0; l_winners = Array.make k 0 }
     in
     t.luby_scr <- Some s;
@@ -102,16 +117,16 @@ let ft_scratch t =
     let k = max 1 (Csr.nslots t.csr) in
     let e = Array.length t.csr.Csr.adj_slot in
     let s =
+      let mask () = Bytes.make k '\000' in
       { f_best = Array.make k 0; f_lead = Array.make k (-1);
-        f_depth = Array.make k (-1); f_bit = Array.make k false;
+        f_depth = Array.make k (-1); f_bit = mask ();
         f_obest = Array.make k 0; f_olead = Array.make k (-1);
-        f_odepth = Array.make k 0; f_obit = Array.make k false;
-        f_inext = Array.make k false; f_touch = Array.make k 0;
+        f_odepth = Array.make k 0; f_obit = mask ();
+        f_inext = mask (); f_touch = Array.make k 0;
         f_front = Array.make k 0; f_front2 = Array.make k 0;
-        f_allowed = Array.make e false; f_all = Array.make k true;
-        f_pdeg = Array.make k 0; f_i1 = Array.make k false;
-        f_i2 = Array.make k false; f_unc = Array.make k false;
-        f_i3 = Array.make k false; f_i4 = Array.make k false }
+        f_allowed = Bytes.make e '\000'; f_all = Bytes.make k '\001';
+        f_pdeg = Array.make k 0; f_i1 = mask (); f_i2 = mask ();
+        f_unc = mask (); f_i3 = mask (); f_i4 = mask () }
     in
     t.ft_scr <- Some s;
     s
@@ -123,10 +138,11 @@ let ft_scratch t =
    [base + 3p + 1], covered neighbors at [base + 3p + 2]. Decisions past
    [max_rounds] do not happen and the run reports [rounds = max_rounds],
    mirroring the engine's cutoff. Returns the last executed round. *)
-let run_luby_phases ~csr ~scr ~value_of ~base ~max_rounds ~flen:flen0
+let run_luby_phases t ~scr ~value_of ~base ~max_rounds ~flen:flen0
     ~undecided:undec0 ~output ~decided ~decide_round =
+  let csr = t.csr and slot_id = t.slot_id in
   let adj_off = csr.Csr.adj_off and adj_slot = csr.Csr.adj_slot in
-  let active = csr.Csr.active and ids = csr.Csr.ids in
+  let active = csr.Csr.active in
   let alive = scr.l_alive and value = scr.l_value in
   let front = scr.l_front and winners = scr.l_winners in
   let flen = ref flen0 and undecided = ref undec0 in
@@ -144,22 +160,22 @@ let run_luby_phases ~csr ~scr ~value_of ~base ~max_rounds ~flen:flen0
     else begin
       for i = 0 to !flen - 1 do
         let s = front.(i) in
-        value.(s) <- value_of ~round:p ~id:ids.(active.(s))
+        value.(s) <- value_of ~round:p ~id:slot_id.(s)
       done;
       (* Winner scan over the pre-marking snapshot: a node wins when its
          (value, id) strictly beats every live neighbor's. *)
       let wlen = ref 0 in
       for i = 0 to !flen - 1 do
         let s = front.(i) in
-        let mv = value.(s) and mid = ids.(active.(s)) in
+        let mv = value.(s) and mid = slot_id.(s) in
         let beaten = ref false in
         let k = ref adj_off.(s) in
         let k1 = adj_off.(s + 1) - 1 in
         while (not !beaten) && !k <= k1 do
           let ts = adj_slot.(!k) in
-          if alive.(ts) then begin
+          if mget alive ts then begin
             let tv = value.(ts) in
-            if not (mv < tv || (mv = tv && mid < ids.(active.(ts)))) then
+            if not (mv < tv || (mv = tv && mid < slot_id.(ts))) then
               beaten := true
           end;
           incr k
@@ -182,7 +198,7 @@ let run_luby_phases ~csr ~scr ~value_of ~base ~max_rounds ~flen:flen0
       end
       else begin
         for i = 0 to !wlen - 1 do
-          alive.(winners.(i)) <- false
+          mset alive winners.(i) false
         done;
         if r_cov > max_rounds then begin
           rounds := max_rounds;
@@ -194,8 +210,8 @@ let run_luby_phases ~csr ~scr ~value_of ~base ~max_rounds ~flen:flen0
             let s = winners.(i) in
             for k = adj_off.(s) to adj_off.(s + 1) - 1 do
               let ts = adj_slot.(k) in
-              if alive.(ts) then begin
-                alive.(ts) <- false;
+              if mget alive ts then begin
+                mset alive ts false;
                 let u = active.(ts) in
                 output.(u) <- false;
                 decided.(u) <- true;
@@ -213,7 +229,7 @@ let run_luby_phases ~csr ~scr ~value_of ~base ~max_rounds ~flen:flen0
             let w = ref 0 in
             for i = 0 to !flen - 1 do
               let s = front.(i) in
-              if alive.(s) then begin
+              if mget alive s then begin
                 front.(!w) <- s;
                 incr w
               end
@@ -239,12 +255,12 @@ let luby ?max_rounds ~value_of t =
   let output = Array.make n false in
   let decided = Array.make n false in
   let decide_round = Array.make n (-1) in
-  Array.fill scr.l_alive 0 nslots true;
+  Bytes.fill scr.l_alive 0 nslots '\001';
   for s = 0 to nslots - 1 do
     scr.l_front.(s) <- s
   done;
   let rounds =
-    run_luby_phases ~csr:cs ~scr ~value_of ~base:0 ~max_rounds ~flen:nslots
+    run_luby_phases t ~scr ~value_of ~base:0 ~max_rounds ~flen:nslots
       ~undecided:nslots ~output ~decided ~decide_round
   in
   Prof.gstop span;
@@ -282,21 +298,24 @@ let fair_tree ?max_rounds ~gamma ~coins t =
       max_rounds
     else begin
       let adj_off = cs.Csr.adj_off and adj_slot = cs.Csr.adj_slot in
-      let active = cs.Csr.active and ids = cs.Csr.ids in
-      let id_of s = ids.(active.(s)) in
+      let active = cs.Csr.active and slot_id = t.slot_id in
       let scr = ft_scratch t in
       let front = scr.f_front and front2 = scr.f_front2 in
       let inext = scr.f_inext and touch = scr.f_touch in
-      let allowed = scr.f_allowed in
-      let best = scr.f_best in
+      let allowed = scr.f_allowed and pdeg = scr.f_pdeg in
+      let best = scr.f_best and obest = scr.f_obest in
       let lead = scr.f_lead and depth = scr.f_depth and bit = scr.f_bit in
+      let olead = scr.f_olead and odepth = scr.f_odepth and obit = scr.f_obit in
+      let i1 = scr.f_i1 and i2 = scr.f_i2 and unc = scr.f_unc in
+      let i3 = scr.f_i3 and i4 = scr.f_i4 in
       (* [gamma] synchronous rounds of flood-max over the allowed edges
          among [mask] participants; [best] starts at the own id. *)
       let flood mask =
+        let sp = Prof.gstart "kernel.fair_tree.flood" in
         let flen = ref 0 in
         for s = 0 to nslots - 1 do
-          if mask.(s) then begin
-            best.(s) <- id_of s;
+          if mget mask s then begin
+            best.(s) <- slot_id.(s);
             front.(!flen) <- s;
             incr flen
           end
@@ -310,16 +329,16 @@ let fair_tree ?max_rounds ~gamma ~coins t =
             let s = (!cur).(i) in
             let b = best.(s) in
             for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-              if allowed.(k) then begin
+              if mget allowed k then begin
                 let ts = adj_slot.(k) in
                 if b > best.(ts) then begin
-                  if not inext.(ts) then begin
-                    inext.(ts) <- true;
-                    scr.f_obest.(ts) <- b;
+                  if not (mget inext ts) then begin
+                    mset inext ts true;
+                    obest.(ts) <- b;
                     touch.(!ntouch) <- ts;
                     incr ntouch
                   end
-                  else if b > scr.f_obest.(ts) then scr.f_obest.(ts) <- b
+                  else if b > obest.(ts) then obest.(ts) <- b
                 end
               end
             done
@@ -327,9 +346,9 @@ let fair_tree ?max_rounds ~gamma ~coins t =
           let nlen = ref 0 in
           for i = 0 to !ntouch - 1 do
             let ts = touch.(i) in
-            inext.(ts) <- false;
-            if scr.f_obest.(ts) > best.(ts) then begin
-              best.(ts) <- scr.f_obest.(ts);
+            mset inext ts false;
+            if obest.(ts) > best.(ts) then begin
+              best.(ts) <- obest.(ts);
               (!nxt).(!nlen) <- ts;
               incr nlen
             end
@@ -338,24 +357,25 @@ let fair_tree ?max_rounds ~gamma ~coins t =
           cur := !nxt;
           nxt := tmp;
           flen := !nlen
-        done
+        done;
+        Prof.gstop sp
       in
       (* [gamma] synchronous rounds of BFS adoption from the leaders
          (participants whose flood converged on their own id). A node
          adopts the offer (lead, depth + 1, bit) when it has no lead yet
          or the offer's (lead, depth) key is strictly better. *)
       let bfs mask bit_for =
-        for s = 0 to nslots - 1 do
-          lead.(s) <- -1;
-          depth.(s) <- -1;
-          bit.(s) <- false
-        done;
+        let sp = Prof.gstart "kernel.fair_tree.bfs" in
+        Array.fill lead 0 nslots (-1);
+        Array.fill depth 0 nslots (-1);
+        Bytes.fill bit 0 nslots '\000';
         let flen = ref 0 in
         for s = 0 to nslots - 1 do
-          if mask.(s) && best.(s) = id_of s then begin
-            lead.(s) <- id_of s;
+          let id = slot_id.(s) in
+          if mget mask s && best.(s) = id then begin
+            lead.(s) <- id;
             depth.(s) <- 0;
-            bit.(s) <- bit_for (id_of s);
+            mset bit s (bit_for id);
             front.(!flen) <- s;
             incr flen
           end
@@ -367,25 +387,24 @@ let fair_tree ?max_rounds ~gamma ~coins t =
           let ntouch = ref 0 in
           for i = 0 to !flen - 1 do
             let s = (!cur).(i) in
-            let ol = lead.(s) and od = depth.(s) + 1 and ob = bit.(s) in
+            let ol = lead.(s) and od = depth.(s) + 1 and ob = mget bit s in
             for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-              if allowed.(k) then begin
+              if mget allowed k then begin
                 let ts = adj_slot.(k) in
-                if not inext.(ts) then begin
-                  inext.(ts) <- true;
-                  scr.f_olead.(ts) <- ol;
-                  scr.f_odepth.(ts) <- od;
-                  scr.f_obit.(ts) <- ob;
+                if not (mget inext ts) then begin
+                  mset inext ts true;
+                  olead.(ts) <- ol;
+                  odepth.(ts) <- od;
+                  mset obit ts ob;
                   touch.(!ntouch) <- ts;
                   incr ntouch
                 end
                 else if
-                  ol > scr.f_olead.(ts)
-                  || (ol = scr.f_olead.(ts) && od < scr.f_odepth.(ts))
+                  ol > olead.(ts) || (ol = olead.(ts) && od < odepth.(ts))
                 then begin
-                  scr.f_olead.(ts) <- ol;
-                  scr.f_odepth.(ts) <- od;
-                  scr.f_obit.(ts) <- ob
+                  olead.(ts) <- ol;
+                  odepth.(ts) <- od;
+                  mset obit ts ob
                 end
               end
             done
@@ -393,15 +412,15 @@ let fair_tree ?max_rounds ~gamma ~coins t =
           let nlen = ref 0 in
           for i = 0 to !ntouch - 1 do
             let ts = touch.(i) in
-            inext.(ts) <- false;
-            let ol = scr.f_olead.(ts) and od = scr.f_odepth.(ts) in
+            mset inext ts false;
+            let ol = olead.(ts) and od = odepth.(ts) in
             if
               lead.(ts) < 0 || ol > lead.(ts)
               || (ol = lead.(ts) && od < depth.(ts))
             then begin
               lead.(ts) <- ol;
               depth.(ts) <- od;
-              bit.(ts) <- scr.f_obit.(ts);
+              mset bit ts (mget obit ts);
               (!nxt).(!nlen) <- ts;
               incr nlen
             end
@@ -410,127 +429,128 @@ let fair_tree ?max_rounds ~gamma ~coins t =
           cur := !nxt;
           nxt := tmp;
           flen := !nlen
-        done
+        done;
+        Prof.gstop sp
       in
       let joined s =
-        if scr.f_pdeg.(s) = 0 then true
+        if pdeg.(s) = 0 then true
         else if lead.(s) < 0 then false
-        else (depth.(s) + if bit.(s) then 1 else 0) mod 2 = 0
+        else (depth.(s) + if mget bit s then 1 else 0) mod 2 = 0
+      in
+      (* Restrict [allowed] to the edges inside [mask]; [pdeg] counts
+         each slot's [mask] neighbors. *)
+      let restrict mask =
+        for s = 0 to nslots - 1 do
+          let inside = mget mask s in
+          let d = ref 0 in
+          for k = adj_off.(s) to adj_off.(s + 1) - 1 do
+            let t_in = mget mask adj_slot.(k) in
+            mset allowed k (inside && t_in);
+            if t_in then incr d
+          done;
+          pdeg.(s) <- !d
+        done
+      in
+      (* Whether any neighbor of [s] is in [mask]. *)
+      let near mask s =
+        let hit = ref false in
+        let k = ref adj_off.(s) in
+        let k1 = adj_off.(s + 1) - 1 in
+        while (not !hit) && !k <= k1 do
+          if mget mask adj_slot.(!k) then hit := true;
+          incr k
+        done;
+        !hit
       in
       (* Stage 1: CntrlFairBipart over the uncut edges; all nodes
          participate. The cut coin is symmetric in (min id, max id), so
          the per-entry mask agrees across both directions. *)
+      let sp = Prof.gstart "kernel.fair_tree.cut" in
       for s = 0 to nslots - 1 do
-        let a = id_of s in
+        let a = slot_id.(s) in
         let d = ref 0 in
         for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-          let b = id_of adj_slot.(k) in
-          let ok = not (coins.cut ~u:(min a b) ~v:(max a b)) in
-          allowed.(k) <- ok;
-          if ok then incr d
+          let b = slot_id.(adj_slot.(k)) in
+          let cut = if a < b then coins.cut ~u:a ~v:b else coins.cut ~u:b ~v:a in
+          mset allowed k (not cut);
+          if not cut then incr d
         done;
-        scr.f_pdeg.(s) <- !d
+        pdeg.(s) <- !d
       done;
+      Prof.gstop sp;
       flood scr.f_all;
       bfs scr.f_all coins.bit1;
+      let sp = Prof.gstart "kernel.fair_tree.masks" in
       for s = 0 to nslots - 1 do
-        scr.f_i1.(s) <- joined s
+        mset i1 s (joined s)
       done;
       (* Stage 2: the same pipeline on the subgraph induced by I1, over
          all edges. [pdeg] is the I1-neighbor count (the message
          protocol's [List.length i1_neighbors]). *)
+      restrict i1;
+      Prof.gstop sp;
+      flood i1;
+      bfs i1 coins.bit2;
+      let sp = Prof.gstart "kernel.fair_tree.masks" in
       for s = 0 to nslots - 1 do
-        let d = ref 0 in
-        for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-          let t_i1 = scr.f_i1.(adj_slot.(k)) in
-          allowed.(k) <- scr.f_i1.(s) && t_i1;
-          if t_i1 then incr d
-        done;
-        scr.f_pdeg.(s) <- !d
-      done;
-      flood scr.f_i1;
-      bfs scr.f_i1 coins.bit2;
-      for s = 0 to nslots - 1 do
-        scr.f_i2.(s) <- scr.f_i1.(s) && joined s
+        mset i2 s (mget i1 s && joined s)
       done;
       (* Coverage: a node is uncovered when neither it nor any neighbor
          joined I2. *)
       for s = 0 to nslots - 1 do
-        let covered = ref scr.f_i2.(s) in
-        let k = ref adj_off.(s) in
-        let k1 = adj_off.(s + 1) - 1 in
-        while (not !covered) && !k <= k1 do
-          if scr.f_i2.(adj_slot.(!k)) then covered := true;
-          incr k
-        done;
-        scr.f_unc.(s) <- not !covered
+        mset unc s (not (mget i2 s || near i2 s))
       done;
       (* Stage 3: the pipeline once more on the uncovered nodes. *)
+      restrict unc;
+      Prof.gstop sp;
+      flood unc;
+      bfs unc coins.bit3;
+      let sp = Prof.gstart "kernel.fair_tree.masks" in
       for s = 0 to nslots - 1 do
-        let d = ref 0 in
-        for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-          let t_unc = scr.f_unc.(adj_slot.(k)) in
-          allowed.(k) <- scr.f_unc.(s) && t_unc;
-          if t_unc then incr d
-        done;
-        scr.f_pdeg.(s) <- !d
-      done;
-      flood scr.f_unc;
-      bfs scr.f_unc coins.bit3;
-      for s = 0 to nslots - 1 do
-        scr.f_i3.(s) <- scr.f_i2.(s) || (scr.f_unc.(s) && joined s)
+        mset i3 s (mget i2 s || (mget unc s && joined s))
       done;
       (* Independence repair: drop both endpoints of any I3 conflict. *)
       for s = 0 to nslots - 1 do
-        let conflict = ref false in
-        let k = ref adj_off.(s) in
-        let k1 = adj_off.(s + 1) - 1 in
-        while (not !conflict) && !k <= k1 do
-          if scr.f_i3.(adj_slot.(!k)) then conflict := true;
-          incr k
-        done;
-        scr.f_i4.(s) <- scr.f_i3.(s) && not !conflict
+        mset i4 s (mget i3 s && not (near i3 s))
       done;
       (* Decisions at round 6g+5: I4 joins, I4-neighbors are covered, the
          rest fall through to a Luby run among themselves. *)
       let undecided = ref nslots in
       let scrl = luby_scratch t in
-      Array.fill scrl.l_alive 0 nslots false;
+      Bytes.fill scrl.l_alive 0 nslots '\000';
       let flen = ref 0 in
       for s = 0 to nslots - 1 do
         let u = active.(s) in
-        if scr.f_i4.(s) then begin
+        if mget i4 s then begin
           output.(u) <- true;
           decided.(u) <- true;
           decide_round.(u) <- r_decide;
           decr undecided
         end
+        else if near i4 s then begin
+          output.(u) <- false;
+          decided.(u) <- true;
+          decide_round.(u) <- r_decide;
+          decr undecided
+        end
         else begin
-          let near = ref false in
-          let k = ref adj_off.(s) in
-          let k1 = adj_off.(s + 1) - 1 in
-          while (not !near) && !k <= k1 do
-            if scr.f_i4.(adj_slot.(!k)) then near := true;
-            incr k
-          done;
-          if !near then begin
-            output.(u) <- false;
-            decided.(u) <- true;
-            decide_round.(u) <- r_decide;
-            decr undecided
-          end
-          else begin
-            scrl.l_alive.(s) <- true;
-            scrl.l_front.(!flen) <- s;
-            incr flen
-          end
+          mset scrl.l_alive s true;
+          scrl.l_front.(!flen) <- s;
+          incr flen
         end
       done;
+      Prof.gstop sp;
       if !undecided = 0 then r_decide
-      else
-        run_luby_phases ~csr:cs ~scr:scrl ~value_of:coins.luby_value
-          ~base:r_decide ~max_rounds ~flen:!flen ~undecided:!undecided
-          ~output ~decided ~decide_round
+      else begin
+        let sp = Prof.gstart "kernel.fair_tree.fallback" in
+        let r =
+          run_luby_phases t ~scr:scrl ~value_of:coins.luby_value
+            ~base:r_decide ~max_rounds ~flen:!flen ~undecided:!undecided
+            ~output ~decided ~decide_round
+        in
+        Prof.gstop sp;
+        r
+      end
     end
   in
   Prof.gstop span;

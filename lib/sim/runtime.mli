@@ -146,11 +146,12 @@ val run :
   outcome
 (** [run ~rng_of view program] executes [program] on every active node.
 
-    [ids] maps node index to the unique identifier exposed to programs
-    (default: the index itself). [rng_of index] supplies each node's
-    private random stream. Execution stops when every active live node has
-    decided, or after [max_rounds] (default [64 + 64 * ceil(log2 n)])
-    rounds, whichever comes first.
+    [ids] maps node index to the unique, non-negative identifier exposed
+    to programs (default: the index itself); the FairTree protocols
+    reserve negative values for "no leader". [rng_of index] supplies each
+    node's private random stream. Execution stops when every active live
+    node has decided, or after [max_rounds] (default
+    [64 + 64 * ceil(log2 n)]) rounds, whichever comes first.
 
     [faults] (default {!Fault.none}) injects message drops, bounded
     delays and crash-stops as described in {!Fault}. With the zero plan
@@ -168,9 +169,10 @@ val run :
     seed and plan it is reproducible byte for byte. Passing
     {!Mis_obs.Trace.null} is equivalent to passing nothing.
 
-    @raise Invalid_argument if [ids] contains duplicates among active
-    nodes, if a program sends to an id that is not its neighbor, or if the
-    fault plan schedules a crash for an out-of-range node. *)
+    @raise Invalid_argument if [ids] contains duplicates or a negative id
+    among active nodes (["Runtime.run: negative id <id> at node
+    <index>"]), if a program sends to an id that is not its neighbor, or
+    if the fault plan schedules a crash for an out-of-range node. *)
 
 module Kernel = Kernel
 (** The data-parallel sibling backend (see {!Kernel}): same compiled

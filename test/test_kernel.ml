@@ -74,14 +74,31 @@ let sparse_ids ~n ~seed =
       next := id + 1 + Mis_util.Splitmix.int rng 4;
       id)
 
-(* Each case runs under the default (index) ids and under sparse ids.
-   One kernel value serves every seed in sequence: scratch reset between
-   runs is on the line, exactly like engine reuse. *)
+(* The sparse ids in shuffled order, so id order and slot order differ:
+   a per-slot id table built from the wrong index (the slot instead of
+   [active.(slot)] on a masked view) or sorted by id shows here. *)
+let permuted_ids ~n ~seed =
+  let ids = sparse_ids ~n ~seed in
+  let rng = Mis_util.Splitmix.of_seed (seed + 211) in
+  for i = n - 1 downto 1 do
+    let j = Mis_util.Splitmix.int rng (i + 1) in
+    let t = ids.(i) in
+    ids.(i) <- ids.(j);
+    ids.(j) <- t
+  done;
+  ids
+
+(* Each case runs under the default (index) ids, under sparse ids and
+   under permuted sparse ids. One kernel value serves every seed in
+   sequence: scratch reset between runs is on the line, exactly like
+   engine reuse. *)
 let for_all_ids view ~pseed check =
+  let n = View.n view in
   List.for_all
     (fun ids ->
       check (Kernel.create ?ids view) (Runtime.Engine.create ?ids view))
-    [ None; Some (sparse_ids ~n:(View.n view) ~seed:pseed) ]
+    [ None; Some (sparse_ids ~n ~seed:pseed);
+      Some (permuted_ids ~n ~seed:pseed) ]
 
 let prop_kernel_luby (gk, n, gseed, pseed) =
   let view = view_of gk ~n ~gseed in

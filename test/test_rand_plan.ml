@@ -136,6 +136,25 @@ let prop_same_bits_as_derive =
       && stream_bits (Rand_plan.node_stream p ~stage ~node:u)
          = stream_bits (Reference.node_stream seed ~stage ~node:u))
 
+(* The hoisted drawers against the keyed draws: the same bits for every
+   argument, the edge drawer in both argument orders. One drawer per
+   (plan, stage) serves several draws, the way the kernel uses them. *)
+let prop_drawers_same_bits =
+  Helpers.qtest ~count:500 "rand_plan: hoisted drawers = keyed draws"
+    QCheck.(pair (pair arb_key arb_key) (pair (pair arb_key arb_key) arb_key))
+    (fun ((seed, stage), ((u, v), round)) ->
+      let p = Rand_plan.make seed in
+      let bits = Rand_plan.node_bits p ~stage in
+      let edges = Rand_plan.edge_bits p ~stage in
+      let values = Rand_plan.node_values p ~stage in
+      List.for_all
+        (fun (u, v) ->
+          edges ~u ~v = Rand_plan.edge_bit p ~stage ~u ~v
+          && edges ~u:v ~v:u = Rand_plan.edge_bit p ~stage ~u ~v
+          && bits u = Rand_plan.node_bit p ~stage ~node:u
+          && values ~round ~id:v = Rand_plan.node_value p ~stage ~round ~node:v)
+        [ (u, v); (v, u); (u + 1, v - 1) ])
+
 let suite =
   [ ( "core.rand_plan",
       [ Alcotest.test_case "determinism" `Quick test_determinism;
@@ -148,4 +167,5 @@ let suite =
         Alcotest.test_case "bit balance" `Quick test_bit_balance;
         Alcotest.test_case "streams don't perturb lookups" `Quick
           test_node_stream_independent_of_bits;
-        prop_same_bits_as_derive ] ) ]
+        prop_same_bits_as_derive;
+        prop_drawers_same_bits ] ) ]

@@ -84,6 +84,18 @@ let test_duplicate_ids_rejected () =
     (fun () ->
       ignore (Runtime.run ~rng_of ~ids:[| 1; 1; 2 |] (View.full g) trivial_program))
 
+(* FairTree reads a negative lead as "no leader", so a negative id would
+   silently hand the fair stages' decisions to the Luby fallback. *)
+let test_negative_ids_rejected () =
+  let g = path 3 in
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Runtime.run: negative id -2 at node 1") (fun () ->
+      ignore
+        (Runtime.run ~rng_of ~ids:[| 1; -2; 3 |] (View.full g) trivial_program));
+  Alcotest.check_raises "kernel too"
+    (Invalid_argument "Runtime.run: negative id -1 at node 0") (fun () ->
+      ignore (Mis_sim.Kernel.create ~ids:[| -1; 0; 1 |] (View.full g)))
+
 let send_to_stranger : (unit, unit) Program.t =
   { Program.name = "stranger";
     init = (fun _ -> ((), []));
@@ -275,6 +287,8 @@ let suite =
         Alcotest.test_case "custom ids" `Quick test_custom_ids;
         Alcotest.test_case "duplicate ids rejected" `Quick
           test_duplicate_ids_rejected;
+        Alcotest.test_case "negative ids rejected" `Quick
+          test_negative_ids_rejected;
         Alcotest.test_case "send to non-neighbor rejected" `Quick
           test_send_to_non_neighbor_rejected;
         Alcotest.test_case "unicast" `Quick test_unicast;

@@ -82,10 +82,11 @@ let test_live_words_ceiling () =
 (* The kernel's steady state allocates O(1) minor words per run: the
    outcome arrays are large enough to go straight to the major heap, the
    sweep scratch is cached in the kernel, and coin draws allocate
-   nothing. Measured at 32 words per Luby run and 107 per FairTree run,
-   flat in n; 256 fails loudly on any per-node or per-draw allocation
-   (a boxed value per coin is already ~10^5 words at n = 10^4). Cheap
-   enough to run without FAIRMIS_XL. *)
+   nothing (the per-run words are the coin drawers, the sweep closures
+   and the outcome record). Measured at 36 words per Luby run and 135
+   per FairTree run, flat in n; 256 fails loudly on any per-node or
+   per-draw allocation (a boxed value per coin is already ~10^5 words at
+   n = 10^4). Cheap enough to run without FAIRMIS_XL. *)
 let test_kernel_minor_words_ceiling () =
   let ceiling = 256. in
   List.iter
