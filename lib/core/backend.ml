@@ -24,8 +24,9 @@ let of_kernel (o : Mis_sim.Kernel.outcome) =
 
 (* Two stages. [prepare_*] compiles the view's topology once (the
    [Csr.compile] half, about as costly as one Luby kernel run on the
-   Table I trees). Each application of the result to [()] builds the
-   per-domain half over that shared, read-only [Csr.t]: an engine's
+   Table I trees; on the kernel also [Kernel.of_csr], which relabels
+   large topologies). Each application of the result to [()] builds the
+   per-domain half over that shared, read-only topology: an engine's
    queues and contexts, or a kernel's sweep scratch. Trial drivers
    prepare once per estimate and instantiate once per domain-chunk
    (Trials.fold_ctx / Montecarlo.estimate_ctx), so neither backend
@@ -39,8 +40,9 @@ let staged backend view ~message ~kernel =
       let e = Mis_sim.Runtime.Engine.of_csr csr in
       fun plan -> of_engine (message e plan)
   | Kernel ->
+    let proto = Mis_sim.Kernel.of_csr csr in
     fun () ->
-      let k = Mis_sim.Kernel.of_csr csr in
+      let k = Mis_sim.Kernel.fresh proto in
       fun plan -> of_kernel (kernel k plan)
 
 let prepare_luby backend view =

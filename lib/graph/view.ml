@@ -49,17 +49,25 @@ let count_active t =
   !c
 
 let active_nodes t =
-  let acc = ref [] in
-  for u = n t - 1 downto 0 do
-    if node_active t u then acc := u :: !acc
+  let a = Array.make (count_active t) 0 in
+  let k = ref 0 in
+  for u = 0 to n t - 1 do
+    if node_active t u then begin
+      a.(!k) <- u;
+      incr k
+    end
   done;
-  Array.of_list !acc
+  a
 
 let iter_adj_e t u f =
   Graph.iter_adj_e t.g u (fun v e ->
       if edge_active t e && node_active t v then f v e)
 
-let iter_adj t u f = iter_adj_e t u (fun v _ -> f v)
+(* An unmasked view is the graph itself: skip the two mask closures. *)
+let iter_adj t u f =
+  match (t.nodes, t.edges) with
+  | None, None -> Graph.iter_adj t.g u f
+  | _ -> iter_adj_e t u (fun v _ -> f v)
 
 let degree t u =
   let d = ref 0 in

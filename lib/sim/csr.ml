@@ -5,7 +5,9 @@ module View = Mis_graph.View
    message rings and per-node contexts on top; [Kernel] layers frontier
    and mask scratch. Keeping the compile here means the two backends are
    guaranteed to agree on slot numbering and adjacency order — the
-   bit-identity contract between them starts with this file. Only what
+   bit-identity contract between them starts with this file. (A large
+   kernel renumbers the slots for locality, [Kernel.relabel], but reads
+   only program ids and node indices, so the agreement holds.) Only what
    both backends read is built here; anything one backend alone needs
    lives with that backend. *)
 
@@ -48,8 +50,18 @@ let compile ?ids view =
     | None -> Array.init n (fun i -> i)
   in
   let nslots = Array.length active in
-  let slot = Array.make n (-1) in
-  Array.iteri (fun s u -> slot.(u) <- s) active;
+  (* With every node active, slots are node indices: [slot] is the
+     identity and an entry is the neighbor itself, so the adjacency pass
+     skips the per-entry [slot] read. *)
+  let all = nslots = n in
+  let slot =
+    if all then Array.init n Fun.id
+    else begin
+      let slot = Array.make n (-1) in
+      Array.iteri (fun s u -> slot.(u) <- s) active;
+      slot
+    end
+  in
   (* One adjacency pass into a buffer sized by the full-graph degrees,
      exact for a full view and trimmed otherwise. View adjacency only
      yields active endpoints, so every entry has a slot. One padding
@@ -61,13 +73,18 @@ let compile ?ids view =
   let buf = Array.make (max 1 bound) 0 in
   let adj_off = Array.make (nslots + 1) 0 in
   let k = ref 0 in
-  Array.iteri
-    (fun s u ->
-      View.iter_adj view u (fun v ->
-          buf.(!k) <- slot.(v);
-          incr k);
-      adj_off.(s + 1) <- !k)
-    active;
+  let push =
+    if all then fun v ->
+      buf.(!k) <- v;
+      incr k
+    else fun v ->
+      buf.(!k) <- slot.(v);
+      incr k
+  in
+  for s = 0 to nslots - 1 do
+    View.iter_adj view active.(s) push;
+    adj_off.(s + 1) <- !k
+  done;
   let adj_slot = if !k = bound then buf else Array.sub buf 0 (max 1 !k) in
   { c_view = view; n; ids; active; slot; adj_off; adj_slot }
 

@@ -30,12 +30,41 @@ type outcome = {
 
 type t
 (** A compiled kernel: a {!Csr.t} plus cached sweep scratch. Like an
-    engine, a kernel is not thread-safe — build one per domain. *)
+    engine, a kernel is not thread-safe — build one per domain.
+
+    {b Slot order.} The kernel's slot order is private. A kernel with at
+    least [2{^18}] slots renumbers them in BFS order ({!relabel}), so
+    that a node's neighbors sit near it in every per-slot array; smaller
+    kernels keep the compile's order. Every coin and tie-break is keyed
+    by program id and every output is indexed by node, so the order never
+    reaches a result. *)
 
 val create : ?ids:int array -> Mis_graph.View.t -> t
+(** [create ?ids view] compiles [view] and builds the kernel over it. Only
+    the kernel's own topology is retained. *)
+
 val of_csr : Csr.t -> t
+(** [of_csr csr] builds a kernel over [csr], relabelled first when it has
+    at least [2{^18}] slots. *)
+
+val fresh : t -> t
+(** [fresh k] is a kernel over [k]'s topology, shared read-only, with
+    its own sweep scratch: one per domain, without redoing the compile or
+    the relabel. *)
+
+val relabel : Csr.t -> Csr.t
+(** [relabel csr] is [csr] with its slots renumbered in BFS order: from
+    slot 0, restarting at the lowest unvisited slot for each further
+    component. The view, [n] and [ids] are [csr]'s; [active], [slot] and
+    the adjacency are permuted, each row keeping its neighbor order. The
+    result is a valid {!Csr.t} for either backend, but not the engine's
+    numbering. *)
+
 val view : t -> Mis_graph.View.t
+
 val csr : t -> Csr.t
+(** The kernel's topology, in its private slot order: above the cutoff
+    this is not the numbering {!Runtime.Engine} uses for the same view. *)
 
 val default_max_rounds : int -> int
 (** The engine's default round budget for [n] nodes,

@@ -8,6 +8,7 @@
 module View = Mis_graph.View
 module Runtime = Mis_sim.Runtime
 module Kernel = Mis_sim.Kernel
+module Csr = Mis_sim.Csr
 module Trace = Mis_obs.Trace
 module Trials = Mis_exp.Trials
 module Rand_plan = Fairmis.Rand_plan
@@ -91,18 +92,22 @@ let permuted_ids ~n ~seed =
 (* Each case runs under the default (index) ids, under sparse ids and
    under permuted sparse ids. One kernel value serves every seed in
    sequence: scratch reset between runs is on the line, exactly like
-   engine reuse. *)
-let for_all_ids view ~pseed check =
+   engine reuse. With [~relabel] the kernel runs over [Kernel.relabel]
+   of the engine's compile, the BFS slot order large kernels take, so
+   the properties reach it at QCheck sizes. *)
+let for_all_ids ~relabel view ~pseed check =
   let n = View.n view in
   List.for_all
     (fun ids ->
-      check (Kernel.create ?ids view) (Runtime.Engine.create ?ids view))
+      let csr = Csr.compile ?ids view in
+      let kcsr = if relabel then Kernel.relabel csr else csr in
+      check (Kernel.of_csr kcsr) (Runtime.Engine.of_csr csr))
     [ None; Some (sparse_ids ~n ~seed:pseed);
       Some (permuted_ids ~n ~seed:pseed) ]
 
-let prop_kernel_luby (gk, n, gseed, pseed) =
+let prop_kernel_luby ~relabel (gk, n, gseed, pseed) =
   let view = view_of gk ~n ~gseed in
-  for_all_ids view ~pseed (fun kernel engine ->
+  for_all_ids ~relabel view ~pseed (fun kernel engine ->
       List.for_all
         (fun seed ->
           let plan = Rand_plan.make seed in
@@ -112,9 +117,9 @@ let prop_kernel_luby (gk, n, gseed, pseed) =
           outcome_matches ~name:"kernel-luby" view o (evs ()) k)
         [ pseed; pseed + 1; pseed + 2 ])
 
-let prop_kernel_fair_tree (gk, n, gseed, pseed) =
+let prop_kernel_fair_tree ~relabel (gk, n, gseed, pseed) =
   let view = view_of gk ~n ~gseed in
-  for_all_ids view ~pseed (fun kernel engine ->
+  for_all_ids ~relabel view ~pseed (fun kernel engine ->
       List.for_all
         (fun seed ->
           let plan = Rand_plan.make seed in
@@ -125,6 +130,55 @@ let prop_kernel_fair_tree (gk, n, gseed, pseed) =
           let k = Fairmis.Fair_tree_distributed.run_kernel_on kernel plan in
           outcome_matches ~name:"kernel-fairtree" view o (evs ()) k)
         [ pseed; pseed + 1 ])
+
+(* [Kernel.relabel] permutes slots and nothing else: [active] is a
+   permutation of the input's with [slot] its inverse, the view and ids
+   are the input's, every node keeps its neighbors in row order, and the
+   order is a BFS — a slot without an earlier neighbor starts a
+   component, and the earliest neighbor (the BFS parent) never decreases
+   along the order. *)
+let prop_relabel_structure (gk, n, gseed, pseed) =
+  let view = view_of gk ~n ~gseed in
+  let sorted a =
+    let a = Array.copy a in
+    Array.sort compare a;
+    a
+  in
+  (* Node [u]'s neighbors as node indices, in row order. *)
+  let row (x : Csr.t) u =
+    let s = x.slot.(u) in
+    List.init (Csr.deg x s) (fun j -> x.active.(x.adj_slot.(x.adj_off.(s) + j)))
+  in
+  let is_bfs (r : Csr.t) =
+    let ok = ref true and last = ref (-1) in
+    for i = 0 to Csr.nslots r - 1 do
+      let p = ref i in
+      for k = r.adj_off.(i) to r.adj_off.(i + 1) - 1 do
+        p := min !p r.adj_slot.(k)
+      done;
+      if !p < i then begin
+        if !p < !last then ok := false;
+        last := !p
+      end
+    done;
+    !ok
+  in
+  let relabels (c : Csr.t) =
+    let r = Kernel.relabel c in
+    Csr.view r == view && r.ids == c.ids && r.n = c.n
+    && sorted r.active = sorted c.active
+    && Array.for_all (fun u -> r.active.(r.slot.(u)) = u) c.active
+    && Array.for_all2 (fun a b -> (a < 0) = (b < 0)) r.slot c.slot
+    && Array.for_all (fun u -> row r u = row c u) c.active
+    && is_bfs r
+  in
+  (* Relabelling a relabelled compile takes the path for slots that are
+     not node indices even on a full view. *)
+  List.for_all
+    (fun ids ->
+      let c = Csr.compile ?ids view in
+      relabels c && relabels (Kernel.relabel c))
+    [ None; Some (permuted_ids ~n:(View.n view) ~seed:pseed) ]
 
 (* Sparse ids must change the coins: otherwise the properties above
    would hold without the id map reaching the draws. *)
@@ -312,9 +366,16 @@ let test_measure_backed_matches () =
 let suite =
   [ ( "sim.kernel",
       [ Helpers.qtest ~count:60 "kernel = engine (luby)" arb_case
-          prop_kernel_luby;
+          (prop_kernel_luby ~relabel:false);
         Helpers.qtest ~count:30 "kernel = engine (fairtree)" arb_case
-          prop_kernel_fair_tree;
+          (prop_kernel_fair_tree ~relabel:false);
+        Helpers.qtest ~count:40 "relabelled kernel = engine (luby)" arb_case
+          (prop_kernel_luby ~relabel:true);
+        Helpers.qtest ~count:30 "relabelled kernel = engine (fairtree)"
+          arb_case
+          (prop_kernel_fair_tree ~relabel:true);
+        Helpers.qtest ~count:60 "relabel permutes slots in BFS order" arb_case
+          prop_relabel_structure;
         Helpers.qtest ~count:20 "kernel = engine (fairtree, small gamma)"
           arb_case prop_kernel_fair_tree_small_gamma;
         Helpers.qtest ~count:30 "kernel = engine (luby, max_rounds cutoff)"
